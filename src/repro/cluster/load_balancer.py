@@ -488,13 +488,13 @@ class LoadBalancer:
         """Owner-shard placement for a cookie-less request, or None.
 
         Hashes the request's ``client_id`` on the ring, then walks the
-        preference list (owner shard first, ring successors after) until a
+        ring lazily (owner shard first, ring successors after) until a
         shard has an eligible node.  Returning None sends the caller down
         the legacy global path, which owns the shed-vs-best-effort call.
         """
         key = request.client_id if request is not None else 0
         skip_degraded = self._shedding()
-        for pos, shard in enumerate(self.ring.preference(key)):
+        for pos, shard in enumerate(self.ring.walk(key)):
             node = self._node_in_shard(
                 shard, request, skip_degraded=skip_degraded
             )

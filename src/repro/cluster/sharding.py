@@ -26,6 +26,7 @@ session — then walk the ring's successor shards.
 
 import hashlib
 from bisect import bisect_right
+from itertools import islice
 
 from repro.stores.ssm import SSM
 
@@ -91,25 +92,36 @@ class ShardRing:
             index = 0
         return self._points[index][1]
 
+    def walk(self, key):
+        """Distinct shards in ring order, starting at ``key``'s owner.
+
+        Lazy: ``key`` is hashed once and ring points are visited only as
+        far as the caller reads, so a router that stops at the owner pays
+        one bisect; the walk ends once every shard has been yielded.
+        """
+        points = self._points
+        if not points:
+            raise ValueError("walk on an empty ring")
+        n = len(points)
+        remaining = len(self._shards)
+        start = bisect_right(self._hashes, stable_hash(key))
+        seen = set()
+        for offset in range(n):
+            shard = points[(start + offset) % n][1]
+            if shard not in seen:
+                seen.add(shard)
+                yield shard
+                remaining -= 1
+                if not remaining:
+                    return
+
     def preference(self, key, limit=None):
         """Distinct shards in ring order starting at ``key``'s owner.
 
         The first entry is :meth:`shard_for`; the rest are the successor
         shards a shard-aware failover walks when the owner is unavailable.
         """
-        if not self._points:
-            raise ValueError("preference on an empty ring")
-        limit = len(self._shards) if limit is None else limit
-        start = bisect_right(self._hashes, stable_hash(key))
-        seen = []
-        n = len(self._points)
-        for offset in range(n):
-            shard = self._points[(start + offset) % n][1]
-            if shard not in seen:
-                seen.append(shard)
-                if len(seen) >= limit:
-                    break
-        return seen
+        return list(islice(self.walk(key), limit))
 
     def counts(self, keys):
         """Shard → how many of ``keys`` it owns (balance diagnostics)."""

@@ -311,6 +311,21 @@ class CohortEngine:
         self.shards = list(shards)
         self.space = CohortStateSpace(profile)
         self.profile = self.space.profile
+        #: Per-state constants every tick reads, built once: (operation,
+        #: action, ops a failed click voids, ops a finished action
+        #: commits, is last, failure ends the session, success ends it).
+        self._state_consts = [
+            (
+                state.operation,
+                state.action,
+                state.op_index + 1,
+                state.n_ops,
+                state.is_last,
+                state.action in SESSION_FATAL_ACTIONS,
+                state.action == "Logout",
+            )
+            for state in self.space.states
+        ]
         self.metrics = metrics if metrics is not None else TawAccounting()
         self.tick = tick
         self.reporter = reporter
@@ -503,13 +518,20 @@ class CohortEngine:
         bucket = int(now)
         space = self.space
         states = space.states
+        consts = self._state_consts
+        pools = (space.next_action_dist, space.entry_dist)
         think = self.profile.think_time_mean
+        tick = self.tick
+        outcome = self.outcome
+        metrics = self.metrics
+        ops_issued = self.ops_issued
+        actions_finished = self.actions_finished
         trace = self.kernel.trace
         for shard in self.shards:
             table = self.counts[shard]
             rng = self._rngs[shard]
             good_ops = bad_ops = good_actions = bad_actions = 0
-            rt_batches = []
+            rt_clicks = {}  # latency -> clicks: one sketch update each
             pool_next = 0  # sessions drawing their next action
             pool_entry = 0  # sessions starting a fresh session
             moves = []  # (state index, +sessions) applied after the scan
@@ -517,14 +539,16 @@ class CohortEngine:
             for idx, count in enumerate(table):
                 if count <= 0:
                     continue
-                state = states[idx]
-                fail_p, latency = self.outcome(shard, state.operation)
-                gap = think + max(0.0, latency)
+                (operation, action, voided, n_ops, is_last, fatal,
+                 logout) = consts[idx]
+                fail_p, latency = outcome(shard, operation)
+                latency = max(0.0, latency)
+                gap = think + latency
                 # Matched-rate discretization: a geometric with success
                 # probability tick/gap has mean inter-click gap exactly
                 # ``gap`` ticks×tick, so the offered click rate equals the
                 # per-client engine's 1/(think + RT) per session.
-                p_fire = min(1.0, self.tick / gap)
+                p_fire = min(1.0, tick / gap)
                 fired = binomial(rng, count, p_fire)
                 if fired <= 0:
                     continue
@@ -533,42 +557,38 @@ class CohortEngine:
                 )
                 ok = fired - failed
                 moves.append((idx, -fired))
-                self.ops_issued[state.operation] = (
-                    self.ops_issued.get(state.operation, 0) + fired
-                )
-                rt_batches.append((max(0.0, latency), fired))
+                ops_issued[operation] = ops_issued.get(operation, 0) + fired
+                rt_clicks[latency] = rt_clicks.get(latency, 0) + fired
                 if failed:
-                    bad_ops += failed * (state.op_index + 1)
+                    bad_ops += failed * voided
                     bad_actions += failed
-                    self.actions_finished[state.action] = (
-                        self.actions_finished.get(state.action, 0) + failed
+                    actions_finished[action] = (
+                        actions_finished.get(action, 0) + failed
                     )
-                    if state.action in SESSION_FATAL_ACTIONS:
+                    if fatal:
                         pool_entry += failed
                     else:
                         pool_next += failed
                     if details_budget > 0:
                         details_budget -= self._materialize(
-                            shard, state, now, min(failed, details_budget)
+                            shard, states[idx], now,
+                            min(failed, details_budget),
                         )
                 if ok:
-                    if state.is_last:
-                        good_ops += ok * state.n_ops
+                    if is_last:
+                        good_ops += ok * n_ops
                         good_actions += ok
-                        self.actions_finished[state.action] = (
-                            self.actions_finished.get(state.action, 0) + ok
+                        actions_finished[action] = (
+                            actions_finished.get(action, 0) + ok
                         )
-                        if state.action == "Logout":
+                        if logout:
                             pool_entry += ok
                         else:
                             pool_next += ok
                     else:
                         moves.append((idx + 1, ok))
             # Pooled end-of-action transitions: one multinomial per pool.
-            for pool, (indices, probs) in (
-                (pool_next, space.next_action_dist),
-                (pool_entry, space.entry_dist),
-            ):
+            for pool, (indices, probs) in zip((pool_next, pool_entry), pools):
                 if pool <= 0:
                     continue
                 for idx, n in zip(indices, multinomial(rng, pool, probs)):
@@ -577,15 +597,15 @@ class CohortEngine:
             for idx, delta in moves:
                 table[idx] += delta
             # Bounded accounting: counters + series + histogram only.
-            self.metrics.record_batch(
+            metrics.record_batch(
                 bucket,
                 good_ops=good_ops,
                 bad_ops=bad_ops,
                 good_actions=good_actions,
                 bad_actions=bad_actions,
             )
-            for latency, n in rt_batches:
-                self.metrics.record_response_times(latency, n)
+            for latency, n in rt_clicks.items():
+                metrics.record_response_times(latency, n)
             if good_ops:
                 series = self.shard_good_series[shard]
                 series[bucket] = series.get(bucket, 0) + good_ops

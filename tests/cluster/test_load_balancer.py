@@ -6,6 +6,7 @@ import pytest
 
 from repro.appserver.http import HttpRequest, HttpStatus
 from repro.cluster import FailoverMode, LoadBalancer, build_cluster
+from repro.cluster.sharding import ShardRing
 from repro.ebid.schema import DatasetConfig
 from repro.sim import Kernel
 
@@ -229,3 +230,23 @@ def test_cluster_ids_never_collide(cluster):
         assert response.status == HttpStatus.OK
         item_ids.append(response.payload["item_id"])
     assert len(set(item_ids)) == len(item_ids)
+
+
+def test_cookieless_request_fails_over_to_the_next_ring_shard():
+    """Owner shard without an eligible node: the request lands on the
+    ring's next shard and counts as a cross-shard failover."""
+    nodes = ring_nodes()
+    shard_of_node = {"n0": "a", "n1": "b", "n2": "c"}
+    node_of_shard = {shard: node for node, shard in zip(nodes, "abc")}
+    ring = ShardRing(["a", "b", "c"])
+    lb = LoadBalancer(Kernel(), nodes, ring=ring, shard_of_node=shard_of_node)
+    request = HttpRequest(url="/ebid/ViewItem", operation="ViewItem",
+                          client_id=42)
+    owner, successor = ring.preference(42)[:2]
+    cross = lb.metrics.counter("lb.shard.failover.cross")
+
+    assert lb._fresh_node(request) is node_of_shard[owner]
+    assert cross.value == 0
+    lb.begin_failover(node_of_shard[owner], FailoverMode.FULL)
+    assert lb._fresh_node(request) is node_of_shard[successor]
+    assert cross.value == 1

@@ -9,12 +9,14 @@ the scenario tests happen to exercise:
   between two uninvolved shards;
 * the failover preference order of the survivors is stable across churn
   (cross-shard failover never reshuffles because an unrelated shard came
-  or went).
+  or went);
+* the lazy ring walk the load balancer routes with yields exactly the
+  preference order, starting at the key's owner.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.sharding import ShardRing
+from repro.cluster.sharding import ShardRing, stable_hash
 
 #: Small vnode count keeps each example cheap; the properties are
 #: vnode-count independent.
@@ -90,3 +92,36 @@ def test_preference_of_survivors_is_stable_across_churn(n, sample):
     after = {key: ring.preference(key) for key in sample}
     for key in sample:
         assert after[key] == [s for s in before[key] if s != victim]
+
+
+def _reference_preference(ring, key):
+    """Distinct shards from a full scan of the ring points, in order."""
+    points = ring._points
+    start = next(
+        (i for i, (h, _s) in enumerate(points) if h > stable_hash(key)), 0
+    )
+    order = []
+    for offset in range(len(points)):
+        shard = points[(start + offset) % len(points)][1]
+        if shard not in order:
+            order.append(shard)
+    return order
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=shard_counts, sample=keys)
+def test_walk_is_the_preference_order_under_churn(n, sample):
+    ring = _ring(n)
+
+    def check():
+        for key in sample:
+            walked = list(ring.walk(key))
+            assert walked == ring.preference(key)
+            assert walked == _reference_preference(ring, key)
+            assert walked[0] == ring.shard_for(key)
+
+    check()
+    ring.add_shard("joiner")
+    check()
+    ring.remove_shard(f"shard{(n - 1):03d}")
+    check()

@@ -8,6 +8,7 @@ conservation, determinism, lazy detail) supports that contract.
 """
 
 from collections import Counter
+from math import comb, sqrt
 
 import pytest
 
@@ -72,6 +73,67 @@ def test_multinomial_conserves_and_distributes():
     big = multinomial(rng, 1_000_000, probs)
     for share, expected in zip(big, probs):
         assert abs(share / 1_000_000 - expected) < 0.01
+
+
+def _chi_square_binomial(draws, n, p):
+    """(statistic, degrees of freedom) of ``draws`` against Binomial(n, p).
+
+    Adjacent outcomes are pooled until each bin expects at least 5 draws;
+    a leftover tail joins the last bin.
+    """
+    observed = Counter(draws)
+    bins = []  # [expected, observed]
+    expected = seen = 0.0
+    for k in range(n + 1):
+        expected += len(draws) * comb(n, k) * p**k * (1 - p) ** (n - k)
+        seen += observed.get(k, 0)
+        if expected >= 5:
+            bins.append([expected, seen])
+            expected = seen = 0.0
+    bins[-1][0] += expected
+    bins[-1][1] += seen
+    stat = sum((o - e) ** 2 / e for e, o in bins)
+    return stat, len(bins) - 1
+
+
+def _chi_square_critical(df, z=3.09):
+    """Upper chi-square critical value at normal quantile ``z``
+    (Wilson–Hilferty; z = 3.09 is the 0.1% level)."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize(
+    "n,p",
+    [
+        (20, 0.3),  # n < 32: summed Bernoulli draws
+        (31, 0.85),
+        (500, 0.04),  # mean <= 32: pmf inversion
+        (64, 0.45),
+    ],
+)
+def test_binomial_fits_its_distribution_in_the_exact_regimes(n, p):
+    rng = RngRegistry(4).stream("t")
+    draws = [binomial(rng, n, p) for _ in range(5000)]
+    stat, df = _chi_square_binomial(draws, n, p)
+    assert stat < _chi_square_critical(df), (stat, df)
+
+
+@pytest.mark.parametrize(
+    "n,probs",
+    [
+        (40, (0.5, 0.3, 0.15, 0.05)),
+        # The pooled next-action categorical the engine draws every tick,
+        # at a pool small enough that every conditional draw is exact.
+        (31, CohortStateSpace().next_action_dist[1]),
+    ],
+)
+def test_multinomial_marginals_fit_their_binomials(n, probs):
+    rng = RngRegistry(5).stream("t")
+    splits = [multinomial(rng, n, probs) for _ in range(4000)]
+    for i, p in enumerate(probs):
+        stat, df = _chi_square_binomial([s[i] for s in splits], n, p)
+        assert stat < _chi_square_critical(df), (i, stat, df)
 
 
 # ----------------------------------------------------------------------
