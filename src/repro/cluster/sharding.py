@@ -130,29 +130,39 @@ class ShardRing:
             counts[self.shard_for(key)] += 1
         return counts
 
+    def arc_lengths(self):
+        """Shard → how many of the 2^64 hash values it owns (exact ints).
+
+        Computed by walking the sorted ring once — no key enumeration.
+        The lengths sum to exactly 2^64, so apportioning a population over
+        them is exact: the cohort engine places sessions this way.
+        """
+        if not self._points:
+            return {}
+        owned = {shard: 0 for shard in self._shards}
+        # bisect_right routing means the point at hash h owns the arc
+        # (prev_h, h]; the first point also owns the wraparound arc past
+        # the last point, which the negative prev handles.
+        prev = self._points[-1][0] - (1 << 64)
+        for h, shard in self._points:
+            owned[shard] += h - prev
+            prev = h
+        return owned
+
     def arc_measures(self):
         """Shard → fraction of the 2^64 hash space it owns.
 
         The exact stationary key share of each shard under uniform
-        hashing, computed by walking the sorted ring once — no key
-        enumeration.  Elastic resharding diffs these measures before and
+        hashing.  Elastic resharding diffs these measures before and
         after a churn to plan the *minimal* session delta: a joining
         shard's intake from each donor is exactly the measure the donor
         lost, and a leaving shard's keys land on each survivor in
         proportion to the measure it gained.
         """
-        if not self._points:
-            return {}
         space = 1 << 64
-        owned = {shard: 0 for shard in self._shards}
-        # bisect_right routing means the point at hash h owns the arc
-        # (prev_h, h]; the first point also owns the wraparound arc past
-        # the last point, which the negative prev handles.
-        prev = self._points[-1][0] - space
-        for h, shard in self._points:
-            owned[shard] += h - prev
-            prev = h
-        return {shard: arc / space for shard, arc in owned.items()}
+        return {
+            shard: arc / space for shard, arc in self.arc_lengths().items()
+        }
 
 
 class BrickGroup:

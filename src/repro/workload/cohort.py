@@ -292,9 +292,9 @@ class CohortEngine:
         """Args:
             outcome: ``outcome(shard, operation) -> (fail_p, latency_s)``,
                 consulted live each tick per (shard, state) cell.
-            shards: shard names; sessions are placed by ``ring`` when given
-                (consistent hashing of the session index), else spread
-                round-robin.
+            shards: shard names; with a ``ring`` the sessions are
+                apportioned over the shards' ring arc lengths, else
+                spread round-robin.
             reporter: optional callable receiving each materialized
                 :class:`SessionDetail` (at most ``max_details_per_tick``
                 per shard per tick) — the cohort failure-detector feed.
@@ -377,22 +377,33 @@ class CohortEngine:
 
     # ------------------------------------------------------------------
     def _place_sessions(self, ring):
-        """Shard → session count, by consistent hashing when a ring is
-        given (each session index is a key) or round-robin otherwise."""
-        placed = {shard: 0 for shard in self.shards}
+        """Shard → session count.
+
+        With a ring, ``n_sessions`` is split over the shards' arc lengths
+        by largest remainder, in engine shard order: each shard gets its
+        exact expected share under uniform key hashing, in O(shards)
+        instead of one SHA-256 per session.  Without one, sessions are
+        spread round-robin.
+        """
         if ring is None:
-            for i in range(self.n_sessions):
-                placed[self.shards[i % len(self.shards)]] += 1
-        else:
-            shard_set = set(self.shards)
-            for i in range(self.n_sessions):
-                shard = ring.shard_for(i)
-                if shard not in shard_set:
-                    raise ValueError(
-                        f"ring places session {i} on unknown shard {shard!r}"
-                    )
-                placed[shard] += 1
-        return placed
+            base, extra = divmod(self.n_sessions, len(self.shards))
+            return {
+                shard: base + (i < extra)
+                for i, shard in enumerate(self.shards)
+            }
+        arcs = ring.arc_lengths()
+        if not arcs:
+            raise ValueError("cannot place sessions on an empty ring")
+        known = set(self.shards)
+        for shard, arc in arcs.items():
+            if arc and shard not in known:
+                raise ValueError(
+                    f"ring places sessions on unknown shard {shard!r}"
+                )
+        takes = proportional_split(
+            [arcs.get(shard, 0) for shard in self.shards], self.n_sessions
+        )
+        return dict(zip(self.shards, takes))
 
     # ------------------------------------------------------------------
     # Elastic resharding: shards join/leave, sessions migrate live

@@ -233,8 +233,35 @@ def test_ring_placement_covers_all_sessions():
     ring = ShardRing(shards)
     _kernel, engine = _engine(n_sessions=400, shards=shards, ring=ring)
     assert sum(engine.shard_sessions.values()) == 400
-    # Consistent hashing, not round-robin: placement follows the ring.
-    assert engine.shard_sessions == ring.counts(range(400))
+    # Not round-robin: placement apportions the ring's arc lengths.
+    arcs = ring.arc_lengths()
+    assert engine.shard_sessions == dict(
+        zip(shards, proportional_split([arcs[s] for s in shards], 400))
+    )
+
+
+def test_ring_placement_matches_per_key_hashing_within_sampling_noise():
+    """Apportioned arcs vs hashing every session index: the difference
+    is key-sampling noise, bounded by 4 binomial standard deviations."""
+    from repro.cluster.sharding import ShardRing
+
+    n = 50_000
+    shards = [f"shard{i:03d}" for i in range(16)]
+    ring = ShardRing(shards)
+    _kernel, engine = _engine(n_sessions=n, shards=shards, ring=ring)
+    hashed = ring.counts(range(n))
+    for shard, m in ring.arc_measures().items():
+        sd = (n * m * (1 - m)) ** 0.5
+        assert abs(engine.shard_sessions[shard] - hashed[shard]) <= 4 * sd
+
+
+def test_ring_placement_rejects_a_shard_the_engine_does_not_know():
+    from repro.cluster.sharding import ShardRing
+
+    ring = ShardRing(["s0", "s1", "ghost"])
+    assert ring.arc_measures()["ghost"] > 0
+    with pytest.raises(ValueError, match="ghost"):
+        _engine(n_sessions=400, shards=["s0", "s1"], ring=ring)
 
 
 # ----------------------------------------------------------------------
