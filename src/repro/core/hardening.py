@@ -60,11 +60,13 @@ class HardeningPolicy:
         storm_window_limit: cap on recovery actions *started* within
             ``storm_window`` — looser than ``storm_limit`` (serial
             recoveries are normal; a cluster-wide stampede is not).
-        parallel_recovery: run the recovery manager's dependency-aware
-            parallel scheduler — independent components microreboot
-            concurrently (the storm limiter is the global concurrency
-            cap) while actions within one dependency group stay
-            serialized on a per-group escalation ladder.
+        parallel_recovery: how the recovery manager groups components
+            for its one escalation ladder.  Off, one group spans the node:
+            the paper's serial pipeline, one recovery at a time.  On, the
+            dependency groups of a ``RecoveryGraph``: independent
+            components microreboot concurrently (the storm limiter is the
+            global concurrency cap) while actions within one group stay
+            serialized on that group's ladder.
         shed_degraded: the load balancer sheds or reroutes
             non-session-critical requests away from degraded nodes.
         shed_latency: mean forwarded-response latency (seconds) above
@@ -132,7 +134,7 @@ class HardeningPolicy:
 
     @classmethod
     def parallel(cls):
-        """Hardened defaults plus the dependency-aware parallel scheduler."""
+        """Hardened defaults plus recovery grouped by dependency."""
         return cls(enabled=True, parallel_recovery=True)
 
 

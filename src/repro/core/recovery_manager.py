@@ -22,24 +22,29 @@ are picked by observed failed-vs-successful path membership, falling back
 to the static map while too few paths have been observed.  The static mode
 stays the default so the paper's Table 1–4 experiments reproduce unchanged.
 
-The RM runs one of two schedulers:
+Every recovery goes through one pipeline — decide, gate, execute — on an
+escalation ladder kept per *dependency group*: a group's µRBs climb its
+own EJB rung, and the node-wide rungs (WAR and coarser) climb one node
+ladder and are node-exclusive.  ``HardeningPolicy.parallel_recovery``
+picks the grouping:
 
-* ``"serial"`` (default, the paper's §4 pipeline): one recovery at a
-  time; reports queued during a recovery are stale and dropped.
-* ``"parallel"`` (dependency-aware): independent components microreboot
-  concurrently, judged against a
-  :class:`~repro.core.recovery_graph.RecoveryGraph` of static descriptor
-  edges merged with the analyzer's observed call paths.  Actions within
-  one dependency group stay serialized on a per-group escalation ladder;
-  the node-wide rungs (WAR and coarser) are node-exclusive; the shared
-  storm limiter is the global concurrency cap.  Backoff, quarantine and
-  defer semantics are unchanged and per target.  Dispatch demands a
-  localized culprit: a *specific* (non-web) component must cross the
-  score threshold, or unlocalized evidence must reach twice the
-  threshold, before anything runs — so a multi-component burst is not
-  coarsened just because every failing path crosses the WAR.  Dispatch
-  order is deterministic (sorted group keys, one dispatch per report),
-  preserving the same-seed ⇒ same-trace contract.
+* off (the default, the paper's §4 pipeline): one group spans the node.
+  Its ladder *is* the node ladder, so one recovery runs at a time, and
+  reports queued during it are stale and dropped.
+* on: the groups of a :class:`~repro.core.recovery_graph.RecoveryGraph`
+  (static descriptor edges merged with the analyzer's observed call
+  paths).  Independent components microreboot concurrently while actions
+  within one group stay serialized; the shared storm limiter is the
+  global concurrency cap.  Dispatch demands a localized culprit: a
+  *specific* (non-web) component must cross the score threshold, or the
+  web component must reach twice the threshold, before anything runs —
+  so a multi-component burst is not coarsened just because every failing
+  path crosses the WAR.  Dispatch order is deterministic (sorted group
+  keys, one dispatch per report), preserving the same-seed ⇒ same-trace
+  contract.
+
+Backoff, quarantine and defer semantics are the same under both groupings,
+and per target.
 """
 
 import enum
@@ -99,13 +104,10 @@ class RecoveryAction:
 
 @dataclass
 class _GroupLadder:
-    """Escalation state for one dependency group (parallel scheduler).
+    """Escalation state for one dependency group's incident.
 
-    The serial scheduler keeps one incident's worth of this state in the
-    RM itself; the parallel scheduler keeps one ladder per dependency
-    group (keyed by the group's canonical name) plus a single node ladder
-    for the node-wide rungs, so two independent components escalating at
-    once never share attempts, tried sets, or level state.
+    Keyed by the group's canonical name, so two independent components
+    escalating at once never share attempts, tried sets, or level state.
     """
 
     key: str
@@ -118,19 +120,25 @@ class _GroupLadder:
 
 @dataclass
 class _Inflight:
-    """One dispatched-but-unfinished recovery (parallel scheduler)."""
+    """One dispatched-but-unfinished recovery."""
 
     action: "RecoveryAction"
     level_index: int
+    #: The ladder the action climbs; None for a preemptive µRB, which
+    #: belongs to no incident.
     ladder: _GroupLadder
-    #: Expanded component targets, or None for node-exclusive coarse
-    #: actions (which conflict with everything).
+    #: Expanded component targets, or None for node-exclusive actions
+    #: (which conflict with everything).
     targets: frozenset = None
     candidate: str = None
+    #: Holds a storm-limiter slot to release on completion.
+    admitted: bool = False
 
 
 #: The recursive policy's escalation ladder (§4).
 LEVELS = ("ejb", "war", "application", "jvm", "os", "human")
+_WAR = LEVELS.index("war")
+_JVM = LEVELS.index("jvm")
 
 #: Levels whose recovery disrupts the entire node.  For backoff accounting
 #: they share one key: an application restart followed immediately by a JVM
@@ -140,7 +148,24 @@ NODE_WIDE_LEVELS = ("application", "jvm", "os")
 
 
 class RecoveryManager:
-    """Automated failure diagnosis and recursive recovery."""
+    """Automated failure diagnosis and recursive recovery.
+
+    With one group spanning the node (``self.one_group``) the ladder is
+    the paper's serial pipeline.  Four differences do not fall out of the
+    grouping, and each stays a branch on that one fact:
+
+    1. :meth:`_group` — a µRB's group is the whole node (None,
+       node-exclusive) rather than its expanded recovery group.
+    2. :meth:`_demanded` — the web component's score alone demands
+       recovery at the plain threshold.  With many groups it must reach
+       twice the threshold, since every failing path crosses the WAR.
+    3. :meth:`_dispatch` — the one ladder is known before any diagnosis.
+       So a busy node declines at once, and an open incident coarsens
+       without a diagnosis when its ladder is spent, the report is
+       resource exhaustion, or no untried candidate is hot.
+    4. :meth:`_run` — the action runs inline in the event loop, and the
+       reports queued meanwhile are dropped: they predate it.
+    """
 
     def __init__(
         self,
@@ -162,8 +187,6 @@ class RecoveryManager:
         path_analyzer=None,
         hardening=None,
         storm_limiter=None,
-        scheduler=None,
-        recovery_graph=None,
     ):
         if policy not in ("recursive", "process-restart"):
             raise ValueError(f"unknown recovery policy {policy!r}")
@@ -197,7 +220,6 @@ class RecoveryManager:
                 self._paths_containing[component] = (
                     self._paths_containing.get(component, 0) + 1
                 )
-        self._ejb_attempts_this_incident = 0
         #: Scores are computed over a sliding window so a brief, self-
         #: healing burst (e.g. each client's one login prompt after a JVM
         #: restart lost the sessions) decays instead of accumulating
@@ -240,32 +262,25 @@ class RecoveryManager:
         #: it and what the analyzer saw at that moment.
         self.diagnosis_log = []
 
-        #: "serial" (the paper's one-at-a-time pipeline) or "parallel"
-        #: (dependency-aware concurrent dispatch).  Defaults to whatever
-        #: the hardening policy asks for.
-        if scheduler is None:
-            scheduler = (
-                "parallel" if self.hardening.parallel_recovery else "serial"
-            )
-        if scheduler not in ("serial", "parallel"):
-            raise ValueError(f"unknown recovery scheduler {scheduler!r}")
-        if scheduler == "parallel" and policy != "recursive":
-            raise ValueError(
-                "the parallel scheduler requires the recursive policy "
-                "(process-restart has no per-group ladder to parallelize)"
-            )
-        self.scheduler = scheduler
-        self.recovery_graph = recovery_graph
-        if scheduler == "parallel" and self.recovery_graph is None:
+        #: The grouping: one group spanning the node (the paper's serial
+        #: pipeline), or the dependency groups of a RecoveryGraph.
+        self.one_group = not self.hardening.parallel_recovery
+        self.recovery_graph = None
+        if not self.one_group:
+            if policy != "recursive":
+                raise ValueError(
+                    "parallel recovery requires the recursive policy "
+                    "(process-restart has no per-group ladder to parallelize)"
+                )
             self.recovery_graph = RecoveryGraph(
                 self.server.descriptors_for(coordinator.app_name),
                 analyzer=self.path_analyzer,
             )
 
-        #: Parallel-scheduler state (untouched in serial mode): one
-        #: escalation ladder per dependency group plus the node ladder
-        #: for the node-wide rungs; in-flight dispatches; per-component
-        #: staleness cutoffs.
+        #: Escalation state: one ladder per dependency group (none under
+        #: one group) plus the node ladder for the node-wide rungs, which
+        #: under one group is the group's own ladder; in-flight
+        #: dispatches; per-component and node-wide staleness cutoffs.
         self._ladders = {}
         self._node_ladder = _GroupLadder("node")
         self._inflight = []
@@ -277,11 +292,6 @@ class RecoveryManager:
         self.scores = {}
         self.actions = []
         self.human_notified = False
-        self.recovering = False
-        self._last_action_end = None
-        self._last_level_index = -1
-        self._last_action_ok = True
-        self._tried_this_incident = set()
         self._process = None
         #: Observers called with each completed RecoveryAction (the load
         #: balancer hooks in here for failover coordination, §5.3).
@@ -300,6 +310,11 @@ class RecoveryManager:
         #: balancer to route around the node for the backoff's remainder
         #: (the ``ttl``).
         self.defer_listeners = []
+
+    @property
+    def recovering(self):
+        """True while any recovery, reactive or preemptive, is in flight."""
+        return bool(self._inflight)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -457,109 +472,169 @@ class RecoveryManager:
                 )
                 continue
             self._score(report)
-            if self.scheduler == "parallel":
-                self._dispatch_parallel(report)
-            elif self._should_act(report):
-                yield from self._recover(report)
+            entry = self._dispatch(report)
+            if entry is None:
+                continue
+            if self.one_group:
+                # The paper's pipeline: recover inline; reports queued
+                # meanwhile predate the recovery and are stale.
+                yield from self._execute(entry)
+                self.inbox.drain()
+            else:
+                self._spawn(self._execute(entry), "recovery")
+
+    def _spawn(self, body, kind):
+        self._dispatch_seq += 1
+        self.kernel.process(
+            body, name=f"rm-{self.server.name}-{kind}-{self._dispatch_seq}"
+        )
 
     def _is_stale(self, report):
         """Drop reports that predate the recovery that would answer them.
 
-        Serial mode judges against the single last action.  Parallel mode
-        judges per component: a report is stale only if it predates the
-        last finished recovery of a component *on its own path* (or the
-        last node-wide recovery) — evidence about one group must not be
+        A report is stale when it predates the last finished recovery of a
+        component *on its own path*, or the last node-wide recovery (under
+        one group, every recovery).  Evidence about one group is not
         discarded because an independent group just finished recovering.
         """
-        if self.scheduler == "parallel":
-            cutoff = self._node_last_end or 0.0
-            for component in self.path_for_url(report.url):
-                cutoff = max(
-                    cutoff, self._component_last_end.get(component, 0.0)
-                )
-            if report.time < cutoff:
-                self._reports_stale.inc()
-                return True
-            if (
-                self._node_last_end is not None
-                and report.kind is FailureKind.APP_SPECIFIC
-                and report.time < self._node_last_end + self.post_recovery_grace
-            ):
-                # Login prompts are the aftermath of session-destroying
-                # (node-wide) recoveries; µRBs preserve sessions, so only
-                # coarse actions open the grace window here.
-                return True
-            return False
-        if self._last_action_end is not None:
-            if report.time < self._last_action_end:
-                self._reports_stale.inc()
-                return True  # stale: the failure predates the last recovery
-            if (
-                report.kind is FailureKind.APP_SPECIFIC
-                and report.time < self._last_action_end + self.post_recovery_grace
-            ):
-                # Expected aftermath: a session-destroying recovery
-                # produces one login prompt per client; give the
-                # population time to re-log-in before reacting.
-                return True
-        return False
-
-    def _should_act(self, report):
-        if self.recovering or self.human_notified:
-            return False
-        if report.kind is FailureKind.RESOURCE_EXHAUSTION:
+        cutoff = self._node_last_end or 0.0
+        for component in self.path_for_url(report.url):
+            cutoff = max(cutoff, self._component_last_end.get(component, 0.0))
+        if report.time < cutoff:
+            self._reports_stale.inc()
             return True
-        return any(
-            score >= self.score_threshold for score in self.scores.values()
+        # Expected aftermath: a session-destroying recovery produces one
+        # login prompt per client; give the population time to re-log-in
+        # before reacting.  µRBs preserve sessions, so only node-wide
+        # recoveries open the grace window.
+        return (
+            self._node_last_end is not None
+            and report.kind is FailureKind.APP_SPECIFIC
+            and report.time < self._node_last_end + self.post_recovery_grace
         )
 
-    def _next_level_index(self, now, report):
-        """Recursive policy: try finer targets first, escalate when stuck.
+    # ------------------------------------------------------------------
+    # Decide and gate
+    # ------------------------------------------------------------------
+    def _demanded(self, report):
+        """Is there enough evidence to recover at all?
 
-        A fresh incident (quiet since the last recovery plus the grace
-        period and escalation window) starts back at the EJB level.
-        Within an incident, another EJB µRB is attempted while untried
-        hot candidates remain (up to ``max_ejb_attempts``); after that,
-        progressively larger subsets are rebooted.
+        With many groups, dispatch demands a *localized* culprit: during a
+        multi-component burst every failing path crosses the web
+        component, so its raw score crosses threshold while the specific
+        beans are still accumulating — and acting on that alone would
+        coarsen exactly the incidents independent groups exist to keep
+        fine-grained.  The web component alone must therefore reach twice
+        the threshold.
         """
-        if (
-            self._last_action_end is None
-            or now - self._last_action_end > self.escalation_window
-        ):
-            self._tried_this_incident = set()
-            self._ejb_attempts_this_incident = 0
-            return 0
-        if (
-            self._last_level_index <= 0
+        if report.kind is FailureKind.RESOURCE_EXHAUSTION:
+            return True
+        war = self.server.web_component_name
+        war_threshold = self.score_threshold * (1 if self.one_group else 2)
+        return any(
+            score >= (war_threshold if name == war else self.score_threshold)
+            for name, score in self.scores.items()
+        )
+
+    def _group(self, candidate):
+        """The targets a µRB of ``candidate`` conflicts on.
+
+        Its expanded recovery group, or None (node-exclusive) when one
+        group spans the node.
+        """
+        if self.one_group:
+            return None
+        try:
+            return frozenset(self.coordinator.expand_targets([candidate]))
+        except Exception:  # noqa: BLE001 — unknown to the coordinator
+            # (e.g. a stale URL-map name): dispatch the bare candidate
+            # anyway; the execution hits the same error, records an
+            # errored action, and still advances the candidate's backoff
+            # key.
+            return frozenset((candidate,))
+
+    def _conflicts(self, targets, entry):
+        if targets is None or entry.targets is None:
+            return True  # a node-exclusive action conflicts with everything
+        return self.recovery_graph.conflicts(targets, entry.targets)
+
+    def _ladder_for(self, targets):
+        if targets is None:
+            return self._node_ladder
+        key = self.recovery_graph.group_key(targets)
+        ladder = self._ladders.get(key)
+        if ladder is None:
+            ladder = _GroupLadder(key)
+            self._ladders[key] = ladder
+        return ladder
+
+    def _reset_stale_ladders(self, now):
+        """Ladders quiet past the escalation window start fresh incidents."""
+        busy = [entry.ladder for entry in self._inflight]
+
+        def stale(ladder):
+            return (
+                ladder.last_action_end is not None
+                and now - ladder.last_action_end > self.escalation_window
+                and not any(ladder is other for other in busy)
+            )
+
+        self._ladders = {
+            key: ladder for key, ladder in self._ladders.items()
+            if not stale(ladder)
+        }
+        if stale(self._node_ladder):
+            self._node_ladder = _GroupLadder("node")
+
+    def _spent(self, ladder):
+        """Is this ladder's fine grain used up within its incident?"""
+        return (
+            ladder.last_level_index > 0
             # An errored µRB is evidence the fine-grained machinery itself
             # is hurt; coarsen instead of retrying at the same grain.
-            and self._last_action_ok
-            and self._ejb_attempts_this_incident < self.max_ejb_attempts
-            and report.kind is not FailureKind.RESOURCE_EXHAUSTION
-            and self._candidate(
-                self._tried_this_incident | self.active_quarantines()
-            )
-            is not None
-        ):
-            return 0
-        return min(self._last_level_index + 1, len(LEVELS) - 1)
+            or not ladder.last_action_ok
+            or ladder.ejb_attempts >= self.max_ejb_attempts
+        )
 
-    def _recover(self, report):
-        """Generator: choose and execute one recovery action."""
+    def _dispatch(self, report):
+        """Decide and gate one recovery; returns its in-flight entry or None.
+
+        Recursive policy: try finer targets first, escalate when stuck.  A
+        group quiet past the escalation window starts back at the EJB
+        rung; within an incident another µRB is attempted while untried
+        hot candidates remain (up to ``max_ejb_attempts``), after which
+        the node-wide rungs are climbed.  A hot candidate whose group is
+        already recovering is skipped (its group stays serialized) and
+        the next-hottest *independent* candidate is considered instead.
+        Candidates are re-diagnosed from the current scores on every
+        dispatch — a deferred recovery never acts on a candidate captured
+        earlier.
+        """
+        if self.human_notified or not self._demanded(report):
+            return None
         now = self.kernel.now
-        if self.policy == "process-restart":
-            level_index = LEVELS.index("jvm")
-        else:
-            level_index = self._next_level_index(now, report)
-        level = LEVELS[level_index]
-        target = ()
-        candidate = None
-        hardening = self.hardening
-
-        if level == "ejb":
-            quarantined = self.active_quarantines()
-            exclude = self._tried_this_incident | quarantined
-            if report.kind is FailureKind.RESOURCE_EXHAUSTION:
+        resource = report.kind is FailureKind.RESOURCE_EXHAUSTION
+        self._reset_stale_ladders(now)
+        exclude = self.active_quarantines().union(
+            self._node_ladder.tried,
+            *(ladder.tried for ladder in self._ladders.values()),
+        )
+        if self.one_group:
+            if self._inflight:
+                return None
+            ladder = self._node_ladder
+            if self.policy == "process-restart" or (
+                ladder.last_action_end is not None
+                and (
+                    resource
+                    or self._spent(ladder)
+                    or self._candidate(exclude) is None
+                )
+            ):
+                return self._dispatch_coarse(report, now, resource)
+        skip = set()
+        while True:
+            if resource:
                 candidate = self._biggest_leaker()
                 if candidate is not None and self._in_backoff(candidate, now):
                     # The leaker was µRB'd recently and the heap is
@@ -572,28 +647,56 @@ class RecoveryManager:
                     # component's leak at once.
                     self._flap_strike(candidate)
                     candidate = None
-                elif candidate in exclude:
+                if candidate in exclude | skip:
                     candidate = None
             else:
-                candidate = self._candidate(exclude, record=True)
-                if (
-                    hardening.enabled
-                    and candidate is not None
-                    and self._in_backoff(candidate, now)
-                ):
-                    # The chosen target is still inside its backoff: wait
-                    # it out rather than recycling the component.
-                    self._flap_strike(candidate)
-                    return self._defer("backoff", level, (candidate,))
+                candidate = self._candidate(exclude | skip, record=True)
             if candidate is None:
-                level_index += 1
-                level = LEVELS[level_index]
+                return self._dispatch_coarse(report, now, resource)
+            targets = self._group(candidate)
+            ladder = self._ladder_for(targets)
+            if self._spent(ladder):
+                # This group's fine grain is spent within its incident:
+                # walk the node-wide rungs instead.
+                return self._dispatch_coarse(report, now, resource)
+            if not resource and self._in_backoff(candidate, now):
+                # The chosen target is still inside its backoff: wait it
+                # out rather than recycling the component.
+                self._flap_strike(candidate)
+                return self._defer("backoff", "ejb", (candidate,))
+            if any(self._conflicts(targets, entry) for entry in self._inflight):
+                if resource:
+                    return None  # its group is mid-recovery: wait, don't coarsen
+                # Same dependency group already recovering: stay
+                # serialized within the group, look for an independent
+                # candidate instead.
+                skip |= targets
+                skip.add(candidate)
+                continue
+            named = () if targets is None else (candidate,)
+            entry = self._launch(0, report.kind, ladder, targets, candidate, named)
+            if entry is not None:
+                ladder.tried.update(targets or ())
+                ladder.ejb_attempts += 1
+            return entry
 
-        if (
-            hardening.enabled
-            and level == "war"
-            and report.kind is not FailureKind.RESOURCE_EXHAUSTION
-        ):
+    def _dispatch_coarse(self, report, now, resource):
+        """The node-wide rungs (WAR and coarser) are node-exclusive."""
+        if self._inflight:
+            # Wait for the in-flight recoveries: scores survive, so the
+            # escalation is retried on the next report once the node is
+            # quiet.
+            return None
+        ladder = self._node_ladder
+        if self.policy == "process-restart":
+            level_index = _JVM
+        else:
+            level_index = min(
+                max(ladder.last_level_index + 1, _WAR), len(LEVELS) - 1
+            )
+        level = LEVELS[level_index]
+        hardening = self.hardening
+        if hardening.enabled and level == "war" and not resource:
             # About to coarsen beyond single-component µRBs — but when the
             # hottest candidate overall (tried this incident or not) is a
             # component we recently recovered and it is still in backoff,
@@ -605,8 +708,7 @@ class RecoveryManager:
             if hot is not None and self._in_backoff(hot, now):
                 self._flap_strike(hot)
                 return self._defer("backoff", level, (hot,))
-
-        if hardening.enabled and level not in ("ejb", "human"):
+        if hardening.enabled and level != "human":
             key = "node" if level in NODE_WIDE_LEVELS else level
             if now < self._backoff_until.get(key, 0.0):
                 # A coarse recovery just ran (or was recently deferred):
@@ -614,22 +716,48 @@ class RecoveryManager:
                 # (a flaky LB link, a slow disk) time to pass — before
                 # recycling it at an even coarser grain.
                 return self._defer("backoff", level, ())
+        return self._launch(level_index, report.kind, ladder, None, None, ())
 
-        if (
-            self.storm_limiter is not None
-            and level != "human"
-            and not self.storm_limiter.admit(who=self.server.name)
-        ):
-            return self._defer("storm", level, ())
-        admitted = self.storm_limiter is not None and level != "human"
+    def _launch(self, level_index, trigger, ladder, targets, candidate, named):
+        """Take a storm-limiter slot and register the recovery as in flight.
 
+        The storm limiter is the global concurrency cap.  A denied
+        recovery is deferred, not cancelled: scores survive, and the next
+        report re-diagnoses from scratch.  Returns the in-flight entry, or
+        None when deferred.
+        """
+        level = LEVELS[level_index]
+        limited = self.storm_limiter is not None and level != "human"
+        if limited and not self.storm_limiter.admit(who=self.server.name):
+            return self._defer("storm", level, named)
         action = RecoveryAction(
-            decided_at=now,
+            decided_at=self.kernel.now,
             level=level,
-            target=(candidate,) if candidate is not None else target,
-            trigger=report.kind,
+            target=() if candidate is None else (candidate,),
+            trigger=trigger,
         )
-        self.recovering = True
+        entry = _Inflight(
+            action, level_index, ladder, targets, candidate, admitted=limited
+        )
+        self._inflight.append(entry)
+        return entry
+
+    # ------------------------------------------------------------------
+    # Execute
+    # ------------------------------------------------------------------
+    def _execute(self, entry):
+        """Generator: run one admitted recovery to completion.
+
+        The one act/record contract: an action that raises is recorded
+        like any other, its storm slot released and its backoff advanced,
+        so a failed action cannot wedge the RM.  A preemptive µRB (no
+        ladder) skips the incident bookkeeping: scores, tried sets,
+        ladders and backoff/flap history stay exactly as they were.
+        """
+        action, ladder = entry.action, entry.ladder
+        level = action.level
+        preemptive = ladder is None
+        marks = {"preemptive": True} if preemptive else {}
         try:
             # Everything from here on runs inside the action: group
             # expansion can raise (a stale URL-map name unknown to the
@@ -638,313 +766,18 @@ class RecoveryManager:
             # must still advance — otherwise storms of failing actions
             # wedge the limiter.
             if level == "ejb":
-                target = tuple(self.coordinator.expand_targets([candidate]))
-                action.target = target
-                self._tried_this_incident |= set(target)
-                self._ejb_attempts_this_incident += 1
-            self.kernel.trace.publish(
-                "rm.decision",
-                server=self.server.name,
-                level=level,
-                target=action.target,
-                trigger=report.kind.value,
-            )
-            for listener in self.begin_listeners:
-                listener(action)
-            if level == "ejb":
-                yield from self.coordinator.microreboot(list(target))
-            elif level == "war":
-                event = yield from self.coordinator.microreboot_war()
-                action.target = event.components
-            elif level == "application":
-                event = yield from self.coordinator.restart_application()
-                action.target = event.components
-            elif level == "jvm":
-                yield from self._restart_jvm()
-            elif level == "os":
-                yield from self._reboot_os()
-            else:  # human
-                self.human_notified = True
-        except Exception as exc:  # noqa: BLE001 - a failed action must not
-            # wedge the RM: before this handler existed, an action that
-            # raised left ``actions`` unappended, ``_last_action_end``
-            # stale, and the scores intact, so the next report replayed the
-            # same escalation state forever.  Record the failed action and
-            # reset incident state exactly like the success path; the
-            # escalation ladder then tries the next-coarser level.
-            action.error = f"{type(exc).__name__}: {exc}"
-            self._action_errors.inc()
-            # The incident-attempt state must not survive a raised action
-            # either: a stale ``_tried_this_incident`` would keep excluding
-            # candidates that were never actually recovered, wedging the
-            # ladder at a level whose action cannot complete.
-            self._tried_this_incident = set()
-            self._ejb_attempts_this_incident = 0
-        finally:
-            self.recovering = False
-            action.finished_at = self.kernel.now
-            self.actions.append(action)
-            self._actions_by_level.inc(level)
-            self._last_action_end = action.finished_at
-            self._last_level_index = level_index
-            self._last_action_ok = action.ok
-            self.scores = {}
-            self._recent_reports = []
-            if self.path_analyzer is not None:
-                # Paths observed before the recovery are as stale as the
-                # scores: re-targeting must be based on post-recovery data.
-                self.path_analyzer.clear()
-            self.inbox.drain()  # reports queued during recovery are stale
-            self.kernel.trace.publish(
-                "rm.action.end",
-                server=self.server.name,
-                level=level,
-                target=action.target,
-                ok=action.ok,
-                error=action.error,
-                duration=action.finished_at - action.decided_at,
-            )
-            self._check_recurring()
-            if admitted:
-                self.storm_limiter.release()
-            if hardening.enabled and level != "human":
-                self._note_recovery(level, action)
-            for listener in self.listeners:
-                listener(action)
-
-    # ------------------------------------------------------------------
-    # The parallel scheduler (dependency-aware concurrent dispatch)
-    # ------------------------------------------------------------------
-    def _ladder_for(self, targets):
-        key = self.recovery_graph.group_key(targets)
-        ladder = self._ladders.get(key)
-        if ladder is None:
-            ladder = _GroupLadder(key)
-            self._ladders[key] = ladder
-        return ladder
-
-    def _reset_stale_ladders(self, now):
-        """Groups quiet past the escalation window start fresh incidents."""
-        for key in sorted(self._ladders):
-            ladder = self._ladders[key]
-            if any(entry.ladder is ladder for entry in self._inflight):
-                continue
-            if (
-                ladder.last_action_end is not None
-                and now - ladder.last_action_end > self.escalation_window
-            ):
-                del self._ladders[key]
-
-    def _conflicts(self, targets, entry):
-        if entry.targets is None:
-            return True  # node-exclusive coarse action blocks everything
-        return self.recovery_graph.conflicts(targets, entry.targets)
-
-    def _dispatch_parallel(self, report):
-        """Start at most one recovery for this report, without blocking.
-
-        The dependency-aware twin of the serial ``_should_act`` +
-        ``_recover`` pair: a hot candidate whose dependency group is
-        already recovering is skipped (its group stays serialized) and the
-        next-hottest *independent* candidate is considered instead, so one
-        report can only ever start a recovery in a group that is idle.
-        Candidates are re-diagnosed from the current scores on every
-        dispatch — a deferred recovery never acts on a candidate captured
-        earlier.
-
-        Unlike the serial ladder, dispatch demands a *localized* culprit:
-        during a multi-component burst every failing path crosses the web
-        component, so its raw score crosses threshold while the specific
-        beans are still accumulating — and acting on that alone would
-        coarsen exactly the incidents this scheduler exists to keep
-        fine-grained.  Unlocalized evidence must therefore reach twice
-        the threshold before the node-wide rungs are considered.
-        """
-        if self.human_notified:
-            return
-        now = self.kernel.now
-        resource = report.kind is FailureKind.RESOURCE_EXHAUSTION
-        if not resource:
-            war = self.server.web_component_name
-            specific = any(
-                score >= self.score_threshold
-                for name, score in self.scores.items()
-                if name != war
-            )
-            coarse_demand = any(
-                score >= 2 * self.score_threshold
-                for score in self.scores.values()
-            )
-            if not specific and not coarse_demand:
-                return
-        self._reset_stale_ladders(now)
-        exclude = self.active_quarantines()
-        for ladder in self._ladders.values():
-            exclude |= ladder.tried
-        skip = set()
-        while True:
-            if resource:
-                candidate = self._biggest_leaker()
-                if candidate is not None and self._in_backoff(candidate, now):
-                    # Same contract as the serial ladder: a re-exhausted
-                    # heap whose biggest leaker is inside its backoff is
-                    # grounds for coarsening, not deferring — waiting
-                    # out the backoff means waiting in OOM meltdown.
-                    self._flap_strike(candidate)
-                    candidate = None
-                if candidate in exclude | skip:
-                    candidate = None
-            else:
-                candidate = self._candidate(exclude | skip, record=True)
-            if candidate is None:
-                return self._dispatch_coarse(report, now, resource)
-            try:
-                targets = frozenset(
-                    self.coordinator.expand_targets([candidate])
-                )
-            except Exception:  # noqa: BLE001 — unknown to the coordinator
-                # (e.g. a stale URL-map name): dispatch the bare candidate
-                # anyway; the execution hits the same error, records an
-                # errored action, and still advances the candidate's
-                # backoff key.
-                targets = frozenset((candidate,))
-            ladder = self._ladder_for(targets)
-            if (
-                not ladder.last_action_ok
-                or ladder.ejb_attempts >= self.max_ejb_attempts
-            ):
-                # This group's fine grain is spent within its incident:
-                # walk the node-wide rungs instead.
-                return self._dispatch_coarse(report, now, resource)
-            if not resource and self._in_backoff(candidate, now):
-                self._flap_strike(candidate)
-                return self._defer("backoff", "ejb", (candidate,))
-            if any(self._conflicts(targets, entry) for entry in self._inflight):
-                if resource:
-                    return  # its group is mid-recovery: wait, don't coarsen
-                # Same dependency group already recovering: stay
-                # serialized within the group, look for an independent
-                # candidate instead.
-                skip |= targets
-                skip.add(candidate)
-                continue
-            if (
-                self.storm_limiter is not None
-                and not self.storm_limiter.admit(who=self.server.name)
-            ):
-                # The storm limiter is the global concurrency cap.
-                # Deferred, not cancelled: scores survive, and the next
-                # report re-diagnoses from scratch.
-                return self._defer("storm", "ejb", (candidate,))
-            admitted = self.storm_limiter is not None
-            ladder.tried |= targets
-            ladder.ejb_attempts += 1
-            action = RecoveryAction(
-                decided_at=now,
-                level="ejb",
-                target=(candidate,),
-                trigger=report.kind,
-            )
-            entry = _Inflight(
-                action=action,
-                level_index=0,
-                ladder=ladder,
-                targets=targets,
-                candidate=candidate,
-            )
-            self._inflight.append(entry)
-            self.recovering = True
-            self._dispatch_seq += 1
-            self.kernel.process(
-                self._execute(entry, admitted),
-                name=f"rm-{self.server.name}-recovery-{self._dispatch_seq}",
-            )
-            return
-
-    def _dispatch_coarse(self, report, now, resource):
-        """The node-wide rungs (WAR and coarser) are node-exclusive."""
-        if self._inflight:
-            # Wait for the in-flight recoveries: scores survive, so the
-            # escalation is retried on the next report once the node is
-            # quiet.
-            return
-        hardening = self.hardening
-        level_index = self._node_level_index(now)
-        level = LEVELS[level_index]
-        if hardening.enabled and level == "war" and not resource:
-            # Same flap check as the serial ladder: when the hottest
-            # candidate overall is a component still in backoff, the last
-            # recovery evidently did not stick — grounds for waiting (and
-            # eventually quarantining), not for a far more disruptive
-            # level.
-            hot = self._candidate(self.active_quarantines())
-            if hot is not None and self._in_backoff(hot, now):
-                self._flap_strike(hot)
-                return self._defer("backoff", level, (hot,))
-        if hardening.enabled and level != "human":
-            key = "node" if level in NODE_WIDE_LEVELS else level
-            if now < self._backoff_until.get(key, 0.0):
-                return self._defer("backoff", level, ())
-        if (
-            self.storm_limiter is not None
-            and level != "human"
-            and not self.storm_limiter.admit(who=self.server.name)
-        ):
-            return self._defer("storm", level, ())
-        admitted = self.storm_limiter is not None and level != "human"
-        action = RecoveryAction(
-            decided_at=now, level=level, target=(), trigger=report.kind
-        )
-        entry = _Inflight(
-            action=action,
-            level_index=level_index,
-            ladder=self._node_ladder,
-            targets=None,
-        )
-        self._inflight.append(entry)
-        self.recovering = True
-        self._dispatch_seq += 1
-        self.kernel.process(
-            self._execute(entry, admitted),
-            name=f"rm-{self.server.name}-recovery-{self._dispatch_seq}",
-        )
-
-    def _node_level_index(self, now):
-        """The node ladder's next rung (never finer than the WAR)."""
-        ladder = self._node_ladder
-        war = LEVELS.index("war")
-        if (
-            ladder.last_action_end is None
-            or now - ladder.last_action_end > self.escalation_window
-        ):
-            ladder.last_level_index = -1
-            ladder.last_action_ok = True
-            return war
-        return min(max(ladder.last_level_index + 1, war), len(LEVELS) - 1)
-
-    def _execute(self, entry, admitted):
-        """Process body: run one dispatched recovery to completion.
-
-        The parallel twin of :meth:`_recover`'s act/record half — same
-        try/except/finally contract (an errored action is recorded, its
-        storm slot released, its backoff advanced) — but completion
-        bookkeeping is scoped to the entry's ladder and targets instead
-        of global incident state.
-        """
-        action = entry.action
-        level = action.level
-        ladder = entry.ladder
-        try:
-            if level == "ejb":
                 action.target = tuple(
                     self.coordinator.expand_targets([entry.candidate])
                 )
+                if not preemptive:
+                    ladder.tried.update(action.target)
             self.kernel.trace.publish(
                 "rm.decision",
                 server=self.server.name,
                 level=level,
                 target=action.target,
                 trigger=action.trigger.value,
+                **marks,
             )
             for listener in self.begin_listeners:
                 listener(action)
@@ -962,37 +795,31 @@ class RecoveryManager:
                 yield from self._reboot_os()
             else:  # human
                 self.human_notified = True
-        except Exception as exc:  # noqa: BLE001 — same contract as _recover
+        except Exception as exc:  # noqa: BLE001 - a failed action must not
+            # wedge the RM: it is recorded and the incident state moves on
+            # exactly like the success path, so the ladder then tries the
+            # next-coarser level.
             action.error = f"{type(exc).__name__}: {exc}"
             self._action_errors.inc()
-            # The group's ladder must not keep excluding targets that were
-            # never actually recovered; the cleared ladder coarsens on the
-            # next report via last_action_ok.
-            ladder.tried = set()
-            ladder.ejb_attempts = 0
+            if not preemptive:
+                # The ladder must not keep excluding targets that were
+                # never actually recovered; the cleared ladder coarsens on
+                # the next report via last_action_ok.
+                ladder.tried = set()
+                ladder.ejb_attempts = 0
         finally:
-            action.finished_at = self.kernel.now
+            finished = action.finished_at = self.kernel.now
             self.actions.append(action)
             self._actions_by_level.inc(level)
-            self._last_action_end = action.finished_at
-            ladder.last_action_end = action.finished_at
-            ladder.last_level_index = entry.level_index
-            ladder.last_action_ok = action.ok
             self._inflight.remove(entry)
-            self.recovering = bool(self._inflight)
-            if level == "ejb":
-                recycled = set(action.target or ()) | set(entry.targets or ())
-                for component in recycled:
-                    self._component_last_end[component] = action.finished_at
-                self._forget_evidence(recycled)
+            if preemptive:
+                for name in entry.targets or ():
+                    self._component_last_end[name] = finished
             else:
-                # The node itself was recycled: all evidence predates it.
-                self._node_last_end = action.finished_at
-                self._component_last_end = {}
-                self.scores = {}
-                self._recent_reports = []
-                if self.path_analyzer is not None:
-                    self.path_analyzer.clear()
+                ladder.last_action_end = finished
+                ladder.last_level_index = entry.level_index
+                ladder.last_action_ok = action.ok
+                self._forget_evidence(entry.targets, finished)
             self.kernel.trace.publish(
                 "rm.action.end",
                 server=self.server.name,
@@ -1001,23 +828,46 @@ class RecoveryManager:
                 ok=action.ok,
                 error=action.error,
                 duration=action.finished_at - action.decided_at,
+                **marks,
             )
-            self._check_recurring()
-            if admitted:
+            if not preemptive:
+                self._check_recurring()
+            if entry.admitted:
                 self.storm_limiter.release()
-            if self.hardening.enabled and level != "human":
+            # Deliberately NO _note_recovery for a preemptive µRB: it is
+            # planned maintenance, not failure-driven recovery.  Counting
+            # it toward flap detection would quarantine a slowly-leaking
+            # component for being rejuvenated on schedule, and advancing
+            # its backoff would defer the *reactive* recovery that an
+            # actual failure needs.  The policy's per-component cooldown
+            # is the preemption loop-guard (same contract as
+            # RejuvenationService, whose rolling µRBs bypass the RM).
+            if not preemptive and self.hardening.enabled and level != "human":
                 self._note_recovery(level, action)
             for listener in self.listeners:
                 listener(action)
 
-    def _forget_evidence(self, components):
+    def _forget_evidence(self, components, finished):
         """Evidence through just-recycled components is stale; keep the rest.
 
-        The parallel counterpart of the serial scheduler's full score
-        wipe: only reports whose path touches the recovered components
-        are dropped, so independent groups keep the evidence their own
+        ``components`` None means the node itself was recycled (every
+        action under one group), so all evidence predates it.  Otherwise
+        only reports whose path touches the recovered components are
+        dropped, so independent groups keep the evidence their own
         (possibly imminent) recoveries are based on.
         """
+        if components is None:
+            self._node_last_end = finished
+            self._component_last_end = {}
+            self.scores = {}
+            self._recent_reports = []
+            if self.path_analyzer is not None:
+                # Paths observed before the recovery are as stale as the
+                # scores: re-targeting must be based on post-recovery data.
+                self.path_analyzer.clear()
+            return
+        for component in components:
+            self._component_last_end[component] = finished
         self._recent_reports = [
             entry
             for entry in self._recent_reports
@@ -1036,139 +886,41 @@ class RecoveryManager:
         The entry point the proactive rejuvenation policy calls when a
         health alert predicts trouble.  A preemptive action *respects*
         the reactive safeguards — it declines while the target is
-        quarantined or in backoff, and takes a storm-limiter slot — but
-        deliberately leaves all reactive state alone: it neither
-        advances backoff/flap counters (planned maintenance is not
-        flapping; the policy cooldown guards against preempt loops) nor
-        consumes the real incident's EJB attempts or escalation ladder.
+        quarantined, in backoff, or conflicting with a recovery in flight,
+        and takes a storm-limiter slot — but deliberately leaves all
+        reactive state alone: it neither advances backoff/flap counters
+        (planned maintenance is not flapping; the policy cooldown guards
+        against preempt loops) nor consumes the real incident's EJB
+        attempts or escalation ladder.
 
         Returns the dispatched :class:`RecoveryAction`, or None when the
         preemption was declined (busy, quarantined, deferred, unknown
         component, or the RM already gave up to a human).
         """
         now = self.kernel.now
-        if self.human_notified:
-            return None
-        if component not in self.server.containers:
-            return None
-        if component in self.active_quarantines():
+        if (
+            self.human_notified
+            or component not in self.server.containers
+            or component in self.active_quarantines()
+        ):
             return None
         if self._in_backoff(component, now):
             self._defer("backoff", "ejb", (component,))
             return None
-        if self.scheduler == "serial":
-            if self.recovering:
-                return None
-        else:
-            try:
-                targets = frozenset(
-                    self.coordinator.expand_targets([component])
-                )
-            except Exception:  # noqa: BLE001 — same contract as dispatch
-                targets = frozenset((component,))
-            if any(
-                self._conflicts(targets, entry) for entry in self._inflight
-            ):
-                return None
-        if (
-            self.storm_limiter is not None
-            and not self.storm_limiter.admit(who=self.server.name)
-        ):
-            self._defer("storm", "ejb", (component,))
+        targets = self._group(component)
+        if any(self._conflicts(targets, entry) for entry in self._inflight):
             return None
-        admitted = self.storm_limiter is not None
-        action = RecoveryAction(
-            decided_at=now,
-            level="ejb",
-            target=(component,),
-            trigger=FailureKind.PREDICTED,
+        entry = self._launch(
+            0, FailureKind.PREDICTED, None, targets, component, (component,)
         )
-        if self.scheduler == "serial":
-            self.recovering = True
-        else:
-            self._inflight.append(
-                _Inflight(
-                    action=action,
-                    level_index=0,
-                    # A throwaway ladder: preemptions must not consume the
-                    # component's real dependency-group escalation state.
-                    ladder=_GroupLadder(f"preempt:{component}"),
-                    targets=targets,
-                    candidate=component,
-                )
-            )
-            self.recovering = True
-        self._dispatch_seq += 1
-        self.kernel.process(
-            self._execute_preemptive(action, component, admitted),
-            name=f"rm-{self.server.name}-preempt-{self._dispatch_seq}",
-        )
-        return action
+        if entry is None:
+            return None
+        self._spawn(self._execute_preemptive(entry), "preempt")
+        return entry.action
 
-    def _execute_preemptive(self, action, component, admitted):
-        """Process body: one preemptive µRB, reactive state untouched.
-
-        Same try/except/finally contract as the reactive executors (an
-        errored action is recorded, its storm slot released, its backoff
-        advanced) minus the incident bookkeeping: scores, tried sets,
-        ladders, and ``_last_action_end`` all belong to *reactive*
-        incidents and stay exactly as they were.
-        """
-        level = "ejb"
-        try:
-            action.target = tuple(
-                self.coordinator.expand_targets([component])
-            )
-            self.kernel.trace.publish(
-                "rm.decision",
-                server=self.server.name,
-                level=level,
-                target=action.target,
-                trigger=action.trigger.value,
-                preemptive=True,
-            )
-            for listener in self.begin_listeners:
-                listener(action)
-            yield from self.coordinator.microreboot(list(action.target))
-        except Exception as exc:  # noqa: BLE001 — same contract as _recover
-            action.error = f"{type(exc).__name__}: {exc}"
-            self._action_errors.inc()
-        finally:
-            action.finished_at = self.kernel.now
-            self.actions.append(action)
-            self._actions_by_level.inc(level)
-            if self.scheduler == "serial":
-                self.recovering = False
-            else:
-                self._inflight = [
-                    entry for entry in self._inflight
-                    if entry.action is not action
-                ]
-                self.recovering = bool(self._inflight)
-                for name in set(action.target or (component,)):
-                    self._component_last_end[name] = action.finished_at
-            self.kernel.trace.publish(
-                "rm.action.end",
-                server=self.server.name,
-                level=level,
-                target=action.target,
-                ok=action.ok,
-                error=action.error,
-                duration=action.finished_at - action.decided_at,
-                preemptive=True,
-            )
-            if admitted:
-                self.storm_limiter.release()
-            # Deliberately NO _note_recovery: a preemptive µRB is planned
-            # maintenance, not failure-driven recovery.  Counting it
-            # toward flap detection would quarantine a slowly-leaking
-            # component for being rejuvenated on schedule, and advancing
-            # its backoff would defer the *reactive* recovery that an
-            # actual failure needs.  The policy's per-component cooldown
-            # is the preemption loop-guard (same contract as
-            # RejuvenationService, whose rolling µRBs bypass the RM).
-            for listener in self.listeners:
-                listener(action)
+    def _execute_preemptive(self, entry):
+        """Process body of a preemptive µRB (see :meth:`_execute`)."""
+        yield from self._execute(entry)
 
     # ------------------------------------------------------------------
     # Hardening: backoff, flap quarantine, storm deferral

@@ -85,8 +85,8 @@ class PathAnalyzer:
     def forget(self, components):
         """Drop observations whose path touched any of ``components``.
 
-        The parallel recovery scheduler calls this when one dependency
-        group finishes recovering: evidence through the recycled
+        The recovery manager calls this when one dependency group
+        finishes recovering: evidence through the recycled
         components is stale, but paths through independent groups keep
         their statistical weight (a full :meth:`clear` would blind the
         analyzer to every other concurrent incident).

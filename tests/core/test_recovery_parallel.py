@@ -5,6 +5,7 @@ import pytest
 from repro.core import (
     FailureKind,
     FailureReport,
+    HardeningPolicy,
     RecoveryManager,
     RecoveryStormLimiter,
 )
@@ -13,7 +14,9 @@ from tests.toyapp import URL_PATH_MAP, build_toy_system
 
 def make_rm(system, **kwargs):
     defaults = dict(
-        score_threshold=3, escalation_window=45.0, scheduler="parallel"
+        score_threshold=3,
+        escalation_window=45.0,
+        hardening=HardeningPolicy(parallel_recovery=True),
     )
     defaults.update(kwargs)
     rm = RecoveryManager(
@@ -146,7 +149,7 @@ def test_parallel_scheduler_requires_recursive_policy():
             system.kernel,
             system.coordinator,
             URL_PATH_MAP,
-            scheduler="parallel",
+            hardening=HardeningPolicy(parallel_recovery=True),
             policy="process-restart",
         )
 

@@ -135,7 +135,6 @@ def test_interleaved_ladders_stay_independent():
         node.system.coordinator,
         URL_PATH_MAP,
         node_controller=node,
-        scheduler="parallel",
         hardening=HardeningPolicy(
             enabled=True, parallel_recovery=True,
             backoff_base=60.0, backoff_factor=2.0, backoff_max=300.0,
