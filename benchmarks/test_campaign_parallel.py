@@ -14,8 +14,8 @@ parallel speedup, and pretending otherwise would just make the gate noise.
 
 import time
 
+from benchmarks import benchfile
 from benchmarks.conftest import full_scale
-from benchmarks.test_kernel_throughput import _gate_enabled, _merge_bench_json
 from repro.experiments import table2
 from repro.parallel import available_jobs, campaign_summary, run_campaign
 from repro.parallel.campaign import TrialSpec
@@ -66,10 +66,10 @@ def test_table2_campaign_parallel_speedup():
         "parallel_s": round(parallel_s, 2),
         "speedup": round(speedup, 2),
     }
-    _merge_bench_json("campaign", payload)
+    benchfile.record("kernel", payload, "campaign")
     print(f"\ncampaign: {payload}")
 
-    if _gate_enabled() and cores >= JOBS:
+    if benchfile.gate_enabled() and cores >= JOBS:
         assert speedup >= MIN_SPEEDUP, (
             f"table2 campaign at --jobs {JOBS} is only {speedup:.2f}x faster "
             f"than sequential on a {cores}-core machine "

@@ -16,18 +16,12 @@ figures.  ``REPRO_BENCH_GATE=0`` disables the gates;
 ``REPRO_BENCH_REBASELINE=1`` re-records the baseline.
 """
 
-import json
-import os
-from pathlib import Path
-
-from benchmarks.test_kernel_throughput import _gate_enabled
+from benchmarks import benchfile
 from repro.experiments import chaos
 
 SEED = 0
 #: Regression tolerance against the committed baseline.
 MAX_REGRESSION = 0.10
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 
 
 def _quick(jobs):
@@ -36,12 +30,7 @@ def _quick(jobs):
 
 
 def test_chaos_campaign_determinism_and_hardening_gate():
-    recorded = None
-    if (
-        BENCH_JSON.exists()
-        and os.environ.get("REPRO_BENCH_REBASELINE", "") in ("", "0")
-    ):
-        recorded = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
+    recorded = benchfile.recorded("chaos")
 
     sequential_text, outcomes = _quick(jobs=1)
     parallel_text, _ = _quick(jobs=2)
@@ -87,13 +76,10 @@ def test_chaos_campaign_determinism_and_hardening_gate():
             "quarantines": hardened["quarantines"],
         },
     }
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    benchfile.record("chaos", payload)
     print(f"\nchaos: {payload}")
 
-    if not _gate_enabled():
+    if not benchfile.gate_enabled():
         return
 
     # Headline gate: same fault schedule, strictly better on both axes.

@@ -24,12 +24,8 @@ import time
 
 import pytest
 
-from benchmarks.test_kernel_throughput import _gate_enabled
-from benchmarks.test_megascale import MAX_REGRESSION, _rss_mib
-from benchmarks.test_observability_overhead import (
-    _merge_obs_json,
-    _recorded_obs,
-)
+from benchmarks import benchfile
+from benchmarks.benchfile import MAX_REGRESSION, rss_mib
 from repro.experiments.megascale import MegascaleRig
 from repro.experiments.storm import StormRig
 from repro.faults.chaos import StormSpec
@@ -102,7 +98,7 @@ def test_plane_overhead_under_budget_at_standard_scale():
     best = {config: min(series) for config, series in times.items()}
     overhead = best["on"] / best["off"] - 1
 
-    payload = _recorded_obs("cluster") or {}
+    payload = benchfile.recorded("observability", "cluster") or {}
     payload["overhead"] = {
         "scenario": "megascale-steady-standard",
         "rounds": OVERHEAD_ROUNDS,
@@ -110,9 +106,9 @@ def test_plane_overhead_under_budget_at_standard_scale():
         "plane_on_s": round(best["on"], 2),
         "overhead_pct": round(100 * overhead, 2),
     }
-    _merge_obs_json("cluster", payload)
+    benchfile.record("observability", payload, "cluster")
 
-    if _gate_enabled():
+    if benchfile.gate_enabled():
         assert overhead < MAX_PLANE_OVERHEAD, (
             f"cluster plane costs {100 * overhead:.1f}% wall clock "
             f"(budget {100 * MAX_PLANE_OVERHEAD:.0f}%)"
@@ -128,7 +124,7 @@ def test_storm_correlation_standard_scale():
     started = time.perf_counter()
     outcome = rig.run()
     wall = time.perf_counter() - started
-    rss = _rss_mib()
+    rss = rss_mib()
 
     cluster = outcome["cluster"]
     struck = set(outcome["storm"]["shards"])
@@ -171,7 +167,7 @@ def test_storm_correlation_standard_scale():
     )
 
     requests = outcome["good_requests"] + outcome["failed_requests"]
-    payload = _recorded_obs("cluster") or {}
+    payload = benchfile.recorded("observability", "cluster") or {}
     recorded = payload.get("correlation")
     payload["correlation"] = {
         "scenario": "storm-elastic-standard",
@@ -190,9 +186,9 @@ def test_storm_correlation_standard_scale():
         "rss_mib": round(rss, 1),
         "requests_per_sec": round(requests / wall),
     }
-    _merge_obs_json("cluster", payload)
+    benchfile.record("observability", payload, "cluster")
 
-    if not _gate_enabled():
+    if not benchfile.gate_enabled():
         return
     if recorded and recorded.get("requests_per_sec"):
         floor = recorded["requests_per_sec"] * (1 - MAX_REGRESSION)

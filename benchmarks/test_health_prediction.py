@@ -23,12 +23,9 @@ arm.  ``REPRO_BENCH_GATE=0`` disables the gates;
 ``REPRO_BENCH_REBASELINE=1`` re-records the baseline.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks.test_kernel_throughput import _gate_enabled
+from benchmarks import benchfile
 from repro.experiments import health_prediction
 from repro.experiments.health_prediction import coarse_actions, run_one_arm
 
@@ -39,8 +36,6 @@ MAX_REGRESSION = 0.10
 MAX_OVERHEAD = 0.10
 #: Timing repetitions (minimum taken) for the overhead measurement.
 TIMING_REPS = 3
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_health.json"
 
 #: The quick campaign's arm parameters, duplicated for the timed runs.
 ARM_KWARGS = dict(
@@ -73,12 +68,7 @@ def _measure_overhead():
 
 
 def test_health_prediction_determinism_and_gates():
-    recorded = None
-    if (
-        BENCH_JSON.exists()
-        and os.environ.get("REPRO_BENCH_REBASELINE", "") in ("", "0")
-    ):
-        recorded = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
+    recorded = benchfile.recorded("health")
 
     sequential_text, outcomes = _quick(jobs=1)
     parallel_text, _ = _quick(jobs=2)
@@ -117,13 +107,10 @@ def test_health_prediction_determinism_and_gates():
         },
         "overhead_fraction": round(overhead, 4),
     }
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    benchfile.record("health", payload)
     print(f"\nhealth-prediction: {payload}")
 
-    if not _gate_enabled():
+    if not benchfile.gate_enabled():
         return
 
     # Passivity: the shadow arm's workload outcome is the reactive arm's.

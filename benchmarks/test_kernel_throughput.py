@@ -22,11 +22,9 @@ disables both gates; ``REPRO_BENCH_REBASELINE=1`` re-records.
 """
 
 import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks import legacy_sim
+from benchmarks import benchfile, legacy_sim
 from repro.sim.kernel import Kernel
 from repro.sim.resources import Queue
 
@@ -36,16 +34,8 @@ QUEUE_PAIRS, QUEUE_ROUNDS = 50, 400
 
 #: The tentpole contract: ≥25% more events/sec than the pre-PR kernel.
 MIN_IMPROVEMENT = 0.25
-#: Recorded-baseline regression gate: fail if we drop >10% below it.
-MAX_REGRESSION = 0.10
 #: The recorded baseline only binds when it came from comparable hardware.
 MACHINE_TOLERANCE = 0.25
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-
-
-def _gate_enabled():
-    return os.environ.get("REPRO_BENCH_GATE", "1") not in ("", "0")
 
 
 def bench_timeouts(kernel_factory):
@@ -111,20 +101,8 @@ def measure(kernel_factory, queue_factory):
     }
 
 
-def _merge_bench_json(section, payload):
-    report = {}
-    if BENCH_JSON.exists():
-        report = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-    report[section] = payload
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return report
-
-
 def test_kernel_throughput_vs_pre_pr_kernel():
-    recorded = None
-    if BENCH_JSON.exists() and os.environ.get("REPRO_BENCH_REBASELINE", "") in ("", "0"):
-        recorded = json.loads(BENCH_JSON.read_text(encoding="utf-8")).get("kernel")
-
+    recorded = benchfile.recorded("kernel", "kernel")
     current = measure(Kernel, Queue)
     legacy = measure(legacy_sim.Kernel, legacy_sim.Queue)
     improvement = current["events_per_sec"] / legacy["events_per_sec"] - 1
@@ -142,10 +120,10 @@ def test_kernel_throughput_vs_pre_pr_kernel():
         "legacy_events_per_sec": legacy["events_per_sec"],
         "improvement_pct": round(100 * improvement, 1),
     }
-    _merge_bench_json("kernel", payload)
+    benchfile.record("kernel", payload, "kernel")
     print("\n" + json.dumps(payload, indent=2))
 
-    if not _gate_enabled():
+    if not benchfile.gate_enabled():
         return
 
     assert improvement >= MIN_IMPROVEMENT, (
@@ -158,7 +136,7 @@ def test_kernel_throughput_vs_pre_pr_kernel():
             legacy["events_per_sec"] / recorded["legacy_events_per_sec"] - 1
         )
         if machine_drift <= MACHINE_TOLERANCE:
-            floor = (1 - MAX_REGRESSION) * recorded["events_per_sec"]
+            floor = (1 - benchfile.MAX_REGRESSION) * recorded["events_per_sec"]
             assert current["events_per_sec"] >= floor, (
                 f"kernel throughput regressed: {current['events_per_sec']} "
                 f"events/sec vs recorded baseline "

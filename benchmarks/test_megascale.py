@@ -20,14 +20,11 @@ Three contracts gate the tentpole, all recorded in ``BENCH_scale.json``:
 re-records the baseline.
 """
 
-import json
-import os
-import resource
 import time
 from collections import Counter
-from pathlib import Path
 
-from benchmarks.test_kernel_throughput import _gate_enabled, _merge_bench_json
+from benchmarks import benchfile
+from benchmarks.benchfile import MAX_REGRESSION, rss_mib, total_requests
 from repro.ebid.schema import DatasetConfig
 from repro.experiments import megascale
 from repro.experiments.common import SingleNodeRig
@@ -35,45 +32,12 @@ from repro.sim.kernel import Kernel
 from repro.sim.rng import RngRegistry
 from repro.workload.cohort import CohortEngine
 
-BENCH_SCALE_JSON = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
-
 #: Standard-scale budgets (measured ≈70 s / ≈130 MiB on a 1-core sandbox).
 STANDARD_WALL_BUDGET_S = 240.0
 STANDARD_RSS_BUDGET_MIB = 768.0
-#: Smoke throughput may not drop >10% below the recorded baseline.
-MAX_REGRESSION = 0.10
 #: Equivalence tolerances, same numbers tests/workload/test_cohort.py gates.
 GAW_RELATIVE_TOLERANCE = 0.05
 ACTION_MIX_ABSOLUTE_TOLERANCE = 0.02
-
-
-def _merge_scale_json(section, payload):
-    report = {}
-    if BENCH_SCALE_JSON.exists():
-        report = json.loads(BENCH_SCALE_JSON.read_text(encoding="utf-8"))
-    report[section] = payload
-    BENCH_SCALE_JSON.write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
-    return report
-
-
-def _recorded(section):
-    if not BENCH_SCALE_JSON.exists():
-        return None
-    if os.environ.get("REPRO_BENCH_REBASELINE", "") not in ("", "0"):
-        return None
-    return json.loads(BENCH_SCALE_JSON.read_text(encoding="utf-8")).get(section)
-
-
-def _rss_mib():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
-def _total_requests(outcomes):
-    return sum(
-        o["good_requests"] + o["failed_requests"] for o in outcomes.values()
-    )
 
 
 def test_megascale_standard_scale_within_budgets():
@@ -81,7 +45,7 @@ def test_megascale_standard_scale_within_budgets():
     started = time.perf_counter()
     _result, outcomes = megascale.run(seed=0, scale="standard", jobs=1)
     wall = time.perf_counter() - started
-    rss = _rss_mib()
+    rss = rss_mib()
 
     for arm, o in outcomes.items():
         assert o["sessions"] >= 1_000_000, arm
@@ -94,7 +58,7 @@ def test_megascale_standard_scale_within_budgets():
     assert faulted["recovery_actions"] > 0
     assert faulted["worst_shard"]["shard"] == faulted["fault_shard"]
 
-    requests = _total_requests(outcomes)
+    requests = total_requests(outcomes)
     payload = {
         "sessions": outcomes["steady"]["sessions"],
         "shards": outcomes["steady"]["shards"],
@@ -110,10 +74,10 @@ def test_megascale_standard_scale_within_budgets():
         "availability_shardfault": faulted["availability"],
         "worst_shard_availability": faulted["worst_shard"]["availability"],
     }
-    _merge_scale_json("standard", payload)
+    benchfile.record("scale", payload, "standard")
     print(f"\nmegascale standard: {payload}")
 
-    if _gate_enabled():
+    if benchfile.gate_enabled():
         assert wall <= STANDARD_WALL_BUDGET_S, (
             f"megascale standard took {wall:.1f}s "
             f"(budget {STANDARD_WALL_BUDGET_S:.0f}s)"
@@ -126,7 +90,7 @@ def test_megascale_standard_scale_within_budgets():
 
 def test_megascale_smoke_determinism_and_regression():
     """Same seed ⇒ same payload; jobs=1 ≡ jobs=2; throughput regression."""
-    recorded = _recorded("smoke")
+    recorded = benchfile.recorded("scale", "smoke")
 
     started = time.perf_counter()
     result_a, outcomes_a = megascale.run(seed=0, scale="smoke", jobs=1)
@@ -140,7 +104,7 @@ def test_megascale_smoke_determinism_and_regression():
     assert result_a.rows == result_b.rows
     assert result_a.notes[:-1] == result_b.notes[:-1]
 
-    requests = _total_requests(outcomes_a)
+    requests = total_requests(outcomes_a)
     throughput = round(requests / wall)
     payload = {
         "sessions": outcomes_a["steady"]["sessions"],
@@ -151,10 +115,11 @@ def test_megascale_smoke_determinism_and_regression():
         "availability_steady": outcomes_a["steady"]["availability"],
         "availability_shardfault": outcomes_a["shardfault"]["availability"],
     }
-    _merge_scale_json("smoke", payload)
+    benchfile.record("scale", payload, "smoke")
     print(f"\nmegascale smoke: {payload}")
 
-    if _gate_enabled() and recorded and recorded.get("requests_per_sec"):
+    gate = benchfile.gate_enabled()
+    if gate and recorded and recorded.get("requests_per_sec"):
         floor = (1 - MAX_REGRESSION) * recorded["requests_per_sec"]
         assert throughput >= floor, (
             f"megascale smoke throughput regressed: {throughput} "
@@ -204,7 +169,7 @@ def test_small_n_equivalence_contract():
         "max_action_mix_diff": round(mix_diff, 4),
         "action_mix_tolerance": ACTION_MIX_ABSOLUTE_TOLERANCE,
     }
-    _merge_scale_json("equivalence", payload)
+    benchfile.record("scale", payload, "equivalence")
     print(f"\nmegascale equivalence: {payload}")
 
     assert gaw_diff < GAW_RELATIVE_TOLERANCE

@@ -22,11 +22,9 @@ disables the gate; ``REPRO_BENCH_REBASELINE=1`` re-records baselines.
 """
 
 import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks.test_kernel_throughput import _gate_enabled
+from benchmarks import benchfile
 from repro.experiments.chaos import ChaosClusterRig
 from repro.faults.chaos import ChaosSpec
 
@@ -38,37 +36,6 @@ TAIL = 40.0
 #: Events/sec with observability attached must stay within 10% of the
 #: publish-only throughput.
 MAX_OVERHEAD = 0.10
-
-BENCH_JSON = (
-    Path(__file__).resolve().parent.parent / "BENCH_observability.json"
-)
-
-
-def _load_obs_json():
-    if not BENCH_JSON.exists():
-        return {}
-    data = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-    # Pre-PR-10 files carried the overhead payload at the top level.
-    if "overhead" not in data and "cluster" not in data:
-        data = {"overhead": data}
-    return data
-
-
-def _merge_obs_json(section, payload):
-    report = _load_obs_json()
-    report[section] = payload
-    BENCH_JSON.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return report
-
-
-def _recorded_obs(section):
-    if os.environ.get("REPRO_BENCH_REBASELINE", "") not in ("", "0"):
-        return None
-    return _load_obs_json().get(section)
-
 
 def timed_run(observability):
     rig = ChaosClusterRig(
@@ -137,10 +104,10 @@ def test_observability_overhead_under_budget():
         "slo_windows": outcomes["observed"]["slo"]["windows"],
         "slo_violations": outcomes["observed"]["slo"]["violations"],
     }
-    _merge_obs_json("overhead", report)
+    benchfile.record("observability", report, "overhead")
     print("\n" + json.dumps(report, indent=2))
 
-    if not _gate_enabled():
+    if not benchfile.gate_enabled():
         return
 
     assert overhead < MAX_OVERHEAD, (

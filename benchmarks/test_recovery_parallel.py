@@ -30,17 +30,13 @@ disables the gates; ``REPRO_BENCH_REBASELINE=1`` re-records.
 """
 
 import json
-import os
-from pathlib import Path
 
-from benchmarks.test_kernel_throughput import _gate_enabled
+from benchmarks import benchfile
 from repro.experiments.chaos import ChaosClusterRig, _max_overlap
 from repro.faults.chaos import ChaosSpec
 
 SEED = 0
 MAX_REGRESSION = 0.10
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_recovery.json"
 
 
 def _run_arm(parallel):
@@ -71,12 +67,7 @@ def _overlapping_pairs(actions):
 
 
 def test_parallel_recovery_mttr_and_safety_gates():
-    recorded = None
-    if (
-        BENCH_JSON.exists()
-        and os.environ.get("REPRO_BENCH_REBASELINE", "") in ("", "0")
-    ):
-        recorded = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
+    recorded = benchfile.recorded("recovery")
 
     serial_rig, serial = _run_arm(parallel=False)
     parallel_rig, parallel = _run_arm(parallel=True)
@@ -134,13 +125,10 @@ def test_parallel_recovery_mttr_and_safety_gates():
             "mean_span": parallel["incidents"]["mean_span"],
         },
     }
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    benchfile.record("recovery", payload)
     print(f"\nrecovery: {payload}")
 
-    if not _gate_enabled():
+    if not benchfile.gate_enabled():
         return
 
     assert parallel_peak >= 2, (

@@ -18,8 +18,8 @@ the repository root so the perf trajectory is tracked across PRs.
 
 import json
 import time
-from pathlib import Path
 
+from benchmarks import benchfile
 from repro.experiments.figure1 import run_one_policy
 from repro.telemetry import set_default_spans, set_default_tracing
 from repro.telemetry.trace import begin_capture, end_capture
@@ -29,7 +29,6 @@ N_CLIENTS = 60
 FAULT_TIMES = (60.0, 120.0, 180.0)
 DURATION = 240.0
 MAX_OVERHEAD = 0.10
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
 
 
 def timed_run(traced=False, spans=False):
@@ -83,8 +82,7 @@ def test_telemetry_overhead_under_budget():
         "events_per_run": events["traced"] // ROUNDS,
         "events_per_sec": round(events_per_sec),
     }
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n",
-                          encoding="utf-8")
+    benchfile.record("telemetry", report)
     print("\n" + json.dumps(report, indent=2))
 
     assert trace_overhead < MAX_OVERHEAD, (
