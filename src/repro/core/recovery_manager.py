@@ -919,7 +919,11 @@ class RecoveryManager:
         return entry.action
 
     def _execute_preemptive(self, entry):
-        """Process body of a preemptive µRB (see :meth:`_execute`)."""
+        """Process body of a preemptive µRB (see :meth:`_execute`).
+
+        Kept under its own name: the repository benchmark's traced run
+        probes it (``perfbench/layers.py``).
+        """
         yield from self._execute(entry)
 
     # ------------------------------------------------------------------
