@@ -47,20 +47,14 @@ KINDS = (
 )
 COMPONENTS = ("Account", "Audit", "Greeter", "Ledger", "Transfer", "Nobody")
 
-#: Every attribute that holds reactive recovery state, across both the
-#: ladder-per-group layout and the older per-incident fields; absent ones
-#: snapshot as None, so the comparison works whichever layout is present.
+#: Reactive recovery state besides the ladders (which carry each
+#: incident's tried set and last action's end).
 REACTIVE_FIELDS = (
     "scores",
     "_recent_reports",
-    "_last_action_end",
     "_node_last_end",
     "_recovery_history",
     "_backoff_until",
-    "_tried_this_incident",
-    "_ejb_attempts_this_incident",
-    "_last_level_index",
-    "_last_action_ok",
 )
 
 
@@ -76,14 +70,12 @@ def ladder_state(ladder):
 
 
 def reactive_state(rm):
-    state = {name: copy.deepcopy(getattr(rm, name, None))
+    state = {name: copy.deepcopy(getattr(rm, name))
              for name in REACTIVE_FIELDS}
     state["ladders"] = {
-        key: ladder_state(ladder)
-        for key, ladder in getattr(rm, "_ladders", {}).items()
+        key: ladder_state(ladder) for key, ladder in rm._ladders.items()
     }
-    node = getattr(rm, "_node_ladder", None)
-    state["node_ladder"] = None if node is None else ladder_state(node)
+    state["node_ladder"] = ladder_state(rm._node_ladder)
     return state
 
 
