@@ -262,11 +262,11 @@ class RecoveryManager:
         #: it and what the analyzer saw at that moment.
         self.diagnosis_log = []
 
-        #: The grouping: one group spanning the node (the paper's serial
-        #: pipeline), or the dependency groups of a RecoveryGraph.
-        self.one_group = not self.hardening.parallel_recovery
+        #: The grouping: the dependency groups of a RecoveryGraph, or
+        #: (None) one group spanning the node — the paper's serial
+        #: pipeline.  ``parallel_recovery`` is the only selector.
         self.recovery_graph = None
-        if not self.one_group:
+        if self.hardening.parallel_recovery:
             if policy != "recursive":
                 raise ValueError(
                     "parallel recovery requires the recursive policy "
@@ -276,6 +276,7 @@ class RecoveryManager:
                 self.server.descriptors_for(coordinator.app_name),
                 analyzer=self.path_analyzer,
             )
+        self.one_group = self.recovery_graph is None
 
         #: Escalation state: one ladder per dependency group (none under
         #: one group) plus the node ladder for the node-wide rungs, which
