@@ -621,6 +621,9 @@ class RecoveryManager:
             *(ladder.tried for ladder in self._ladders.values()),
         )
         if self.one_group:
+            # The one ladder is known before any diagnosis: a busy node
+            # declines, and an open incident whose fine grain is used up
+            # (or whose report is exhaustion) climbs without diagnosing.
             if self._inflight:
                 return None
             ladder = self._node_ladder
