@@ -10,7 +10,7 @@ shepherds a user request through multiple EJBs" (§3.1).
 """
 
 from repro.appserver.descriptors import ComponentKind
-from repro.appserver.http import HttpStatus, error_response
+from repro.appserver.http import HttpStatus, error_response, longest_prefix
 from repro.appserver.errors import (
     ApplicationException,
     ComponentUnavailableError,
@@ -59,10 +59,12 @@ class InvocationContext:
     def call(self, name, method, *args, **kwargs):
         """Invoke ``method`` on component ``name`` through the platform.
 
-        This is a generator; business methods use ``result = yield from
-        ctx.call(...)``.  The call is mediated by the naming service and the
-        target's container, which applies the interceptor chain (state
-        check, transaction demarcation, fault hooks).
+        Returns the target container's invocation generator; business
+        methods use ``result = yield from ctx.call(...)``.  The call is
+        mediated by the naming service and the target's container, which
+        applies the interceptor chain (state check, transaction
+        demarcation, fault hooks).  Naming failures raise here, at the
+        ``yield from``, exactly where a failing first step would.
 
         Raises:
             NamingError: unbound or null-corrupted JNDI entry.
@@ -78,17 +80,18 @@ class InvocationContext:
         container = self.server.containers.get(binding)
         if container is None:
             raise NamingError(name, f"entry points at unknown container {binding!r}")
-        result = yield from container.invoke(self, method, args, kwargs)
-        return result
+        return container.invoke(self, method, args, kwargs)
 
     # ------------------------------------------------------------------
     # Resource consumption
     # ------------------------------------------------------------------
     def consume(self, seconds):
-        """Generator: burn ``seconds`` of node CPU (with jitter, shared)."""
-        timing = self.server.timing
-        demand = timing.sample(self.server.rng, seconds)
-        yield from self.server.cpu.consume(demand)
+        """Generator: burn ``seconds`` of node CPU (with jitter, shared).
+
+        Returns the CPU's own generator, so a resume skips one frame.
+        """
+        demand = self.server.timing.sample(self.server.rng, seconds)
+        return self.server.cpu.consume(demand)
 
     def io_delay(self, seconds):
         """Generator: wait out an I/O latency (network/disk, no CPU held)."""
@@ -176,7 +179,7 @@ class EntityBean(Component):
         return database
 
     def _charge(self, ctx):
-        yield from ctx.io_delay(self.server.timing.db_access_time)
+        return ctx.io_delay(self.server.timing.db_access_time)
 
     def _tx_id(self, ctx):
         """Enlist and return the current tx id, or None for auto-commit."""
@@ -193,14 +196,17 @@ class EntityBean(Component):
         yield from self._charge(ctx)
         return self._db().read(self.table, pk)
 
-    def ejb_find(self, ctx, **equals):
-        """Generator: rows whose columns equal the given values."""
+    def ejb_find(self, ctx, *, limit=None, **equals):
+        """Generator: rows whose columns equal the given values.
+
+        ``limit`` keeps only the first ``limit`` rows found.
+        """
         yield from self._charge(ctx)
-        return self._db().select(self.table, **equals)
+        return self._db().select(self.table, limit=limit, **equals)
 
     def ejb_count(self, ctx, **equals):
         yield from self._charge(ctx)
-        return len(self._db().select(self.table, **equals))
+        return self._db().count(self.table, **equals)
 
     # -- writes ---------------------------------------------------------
     def ejb_create(self, ctx, row):
@@ -270,11 +276,7 @@ class WebComponent(Component):
 
     def servlet_for(self, url):
         """Longest-prefix match of ``url`` against registered servlets."""
-        best = None
-        for prefix in self._servlets:
-            if url.startswith(prefix) and (best is None or len(prefix) > len(best)):
-                best = prefix
-        return self._servlets.get(best)
+        return self._servlets.get(longest_prefix(url, self._servlets))
 
     def cache_get(self, key):
         return self.fragment_cache.get(key)

@@ -79,6 +79,21 @@ class HttpResponse:
         }
 
 
+def longest_prefix(url, table):
+    """The longest key of ``table`` that ``url`` starts with, or None.
+
+    Request URLs are usually a key exactly, and an exact match is always
+    the longest, so that is tried before the scan.
+    """
+    if url in table:
+        return url
+    best = None
+    for prefix in table:
+        if url.startswith(prefix) and (best is None or len(prefix) > len(best)):
+            best = prefix
+    return best
+
+
 def error_response(status, message):
     """A failure response whose body carries detectable keywords."""
     return HttpResponse(status=status, body=f"<html>error: {message}</html>")

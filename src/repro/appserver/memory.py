@@ -94,10 +94,12 @@ class HeapModel:
         Called on the request path: once leaks exhaust the heap, ordinary
         request processing starts failing with OOM errors.
         """
-        if self.available - nbytes <= 0:
+        # ``available`` spelled out: this runs on every component call.
+        available = self.capacity - (self.baseline + sum(self._leaked.values()))
+        if available - nbytes <= 0:
             raise OutOfMemoryError_(
                 f"allocation of {nbytes} bytes failed "
-                f"({self.available} of {self.capacity} available)"
+                f"({available} of {self.capacity} available)"
             )
 
     def release_owner(self, owner):

@@ -26,7 +26,7 @@ which clients observe as slow responses and network errors.
 
 import enum
 
-from repro.appserver.http import HttpResponse, HttpStatus
+from repro.appserver.http import HttpResponse, HttpStatus, longest_prefix
 from repro.core.hardening import HardeningPolicy
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -355,12 +355,7 @@ class LoadBalancer:
 
     def _touches(self, request, components):
         """Would this request's call path enter any recovering component?"""
-        best = None
-        for prefix in self.url_path_map:
-            if request.url.startswith(prefix) and (
-                best is None or len(prefix) > len(best)
-            ):
-                best = prefix
+        best = longest_prefix(request.url, self.url_path_map)
         path = self.url_path_map.get(best, ())
         return bool(set(path) & components)
 

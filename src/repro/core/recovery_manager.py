@@ -50,6 +50,7 @@ and per target.
 import enum
 from dataclasses import dataclass, field
 
+from repro.appserver.http import longest_prefix
 from repro.core.hardening import HardeningPolicy
 from repro.core.recovery_graph import RecoveryGraph
 from repro.diagnosis.path_analysis import PathAnalyzer
@@ -339,10 +340,7 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def path_for_url(self, url):
         """Longest-prefix match into the static URL → call-path map."""
-        best = None
-        for prefix in self.url_path_map:
-            if url.startswith(prefix) and (best is None or len(prefix) > len(best)):
-                best = prefix
+        best = longest_prefix(url, self.url_path_map)
         return list(self.url_path_map.get(best, ()))
 
     def _score(self, report):

@@ -101,16 +101,16 @@ class ItemBean(EntityBean):
         return row
 
     def items_by_category(self, ctx, category_id, limit=20):
-        rows = yield from self.ejb_find(ctx, category_id=category_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, category_id=category_id, limit=limit)
+        return rows
 
     def items_by_region(self, ctx, region_id, limit=20):
-        rows = yield from self.ejb_find(ctx, region_id=region_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, region_id=region_id, limit=limit)
+        return rows
 
     def items_by_seller(self, ctx, seller_id, limit=20):
-        rows = yield from self.ejb_find(ctx, seller_id=seller_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, seller_id=seller_id, limit=limit)
+        return rows
 
     def create_item(self, ctx, item_id, name, seller_id, category_id,
                     region_id, initial_price):
@@ -171,8 +171,8 @@ class BidBean(EntityBean):
         return rows[:limit]
 
     def bids_by_user(self, ctx, user_id, limit=25):
-        rows = yield from self.ejb_find(ctx, user_id=user_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, user_id=user_id, limit=limit)
+        return rows
 
 
 class BuyNowBean(EntityBean):
@@ -187,8 +187,8 @@ class BuyNowBean(EntityBean):
         return row
 
     def buys_by_user(self, ctx, user_id, limit=25):
-        rows = yield from self.ejb_find(ctx, buyer_id=user_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, buyer_id=user_id, limit=limit)
+        return rows
 
 
 class CategoryBean(EntityBean):

@@ -1,6 +1,6 @@
 """Generator-based simulated processes."""
 
-import inspect
+from types import GeneratorType
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import _PENDING, Event
@@ -25,13 +25,13 @@ class Process(Event):
     __slots__ = ("_generator", "name", "_waiting_on")
 
     def __init__(self, kernel, generator, name=None):
-        if not inspect.isgenerator(generator):
+        if not isinstance(generator, GeneratorType):
             raise SimulationError(
                 f"Process requires a generator, got {type(generator).__name__}"
             )
         super().__init__(kernel)
         self._generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
+        self.name = name or generator.__name__
         self._waiting_on = None
         # Kick the process off via an immediately-scheduled event so that it
         # starts running in kernel event order, not synchronously.

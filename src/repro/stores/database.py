@@ -24,7 +24,7 @@ fault-injection surface), so the simulated service can sustain paper-scale
 datasets (1.5 M bids) without the simulator itself becoming the bottleneck.
 """
 
-from itertools import count
+from itertools import count, islice
 
 from repro.sim.resources import Lock
 
@@ -196,28 +196,39 @@ class Database:
         row = self._table(table_name).rows.get(pk)
         return dict(row) if row is not None else None
 
-    def select(self, table_name, **equals):
-        """All rows matching the column=value filters (copies).
+    def select(self, table_name, *, limit=None, **equals):
+        """Rows matching the column=value filters (copies), in index order.
 
         Single-column equality filters are served from a hash index (built
         on first use); multi-column filters narrow via the first column's
-        index and scan the rest.
+        index and scan the rest.  ``limit`` (a non-negative int) keeps
+        only the first ``limit`` matches, so only those are copied.
         """
         table = self._table(table_name)
-        if not equals:
-            return [dict(row) for row in table.rows.values()]
-        columns = sorted(equals)
-        index = table.ensure_index(columns[0])
-        pks = index.get(table._key(equals[columns[0]]), ())
-        out = []
-        for pk in pks:
-            row = table.rows[pk]
-            if all(row.get(col) == equals[col] for col in columns[1:]):
-                out.append(dict(row))
-        return out
+        return [dict(row) for row in islice(self._matches(table, equals), limit)]
 
-    def count(self, table_name):
-        return len(self._table(table_name).rows)
+    def count(self, table_name, **equals):
+        """Number of rows matching the filters (all rows without any)."""
+        table = self._table(table_name)
+        if not equals:
+            return len(table.rows)
+        return sum(1 for _ in self._matches(table, equals))
+
+    @staticmethod
+    def _matches(table, equals):
+        """Iterator over the stored rows (not copies) matching ``equals``."""
+        if not equals:
+            return iter(table.rows.values())
+        columns = sorted(equals)
+        pks = table.ensure_index(columns[0]).get(table._key(equals[columns[0]]), ())
+        rows = map(table.rows.__getitem__, pks)
+        if len(columns) == 1:
+            return rows
+        rest = [(column, equals[column]) for column in columns[1:]]
+        return (
+            row for row in rows
+            if all(row.get(column) == value for column, value in rest)
+        )
 
     def max_pk(self, table_name):
         """Largest primary key in the table (0 if empty)."""

@@ -6,6 +6,8 @@ model is lease-based: orphaned session state is garbage-collected
 automatically when its lease expires.
 """
 
+import math
+
 
 class LeaseTable:
     """Expiry times per key, driven by the simulation clock."""
@@ -16,6 +18,10 @@ class LeaseTable:
         self.kernel = kernel
         self.default_ttl = default_ttl
         self._expiry = {}
+        #: No lease expires before this time (a lower bound: renewals and
+        #: releases leave it low), so collection can skip the scan until
+        #: the clock reaches it.
+        self._earliest = math.inf
         self.expired_count = 0
 
     def __len__(self):
@@ -23,7 +29,10 @@ class LeaseTable:
 
     def grant(self, key, ttl=None):
         """Grant (or re-grant) a lease on ``key``."""
-        self._expiry[key] = self.kernel.now + (ttl or self.default_ttl)
+        expiry = self.kernel.now + (ttl or self.default_ttl)
+        self._expiry[key] = expiry
+        if expiry < self._earliest:
+            self._earliest = expiry
 
     def renew(self, key, ttl=None):
         """Extend an existing lease; returns False if it already lapsed."""
@@ -42,8 +51,11 @@ class LeaseTable:
     def collect_expired(self):
         """Remove and return keys whose leases have lapsed."""
         now = self.kernel.now
+        if now < self._earliest:
+            return []
         expired = [key for key, when in self._expiry.items() if when <= now]
         for key in expired:
             del self._expiry[key]
+        self._earliest = min(self._expiry.values(), default=math.inf)
         self.expired_count += len(expired)
         return expired

@@ -32,7 +32,9 @@ kind                                      published by / payload highlights
 
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 #: Keys reserved for the envelope when events are flattened to JSONL.
 RESERVED_KEYS = ("t", "seq", "kind", "bus")
@@ -113,14 +115,14 @@ def all_buses():
     return list(_buses)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One published event."""
+class TraceEvent(NamedTuple):
+    """One published event (immutable; a named tuple because busy runs
+    publish one per request phase and tuples are the cheapest to build)."""
 
     t: float  # simulation time (seconds)
     seq: int  # per-bus publication sequence number
     kind: str  # dotted event type, e.g. "request.end"
-    fields: dict = field(default_factory=dict)
+    fields: Mapping = MappingProxyType({})
 
     def flatten(self, bus=None):
         """Envelope + payload as one flat dict (for JSONL export)."""
@@ -182,6 +184,10 @@ class TraceBus:
         self._buffer = deque(maxlen=capacity)
         self._sticky = deque(maxlen=self.STICKY_CAPACITY)
         self._subscriptions = []
+        #: kind -> (sticky, positions in ``_subscriptions`` of the
+        #: subscriptions it matches); built on a kind's first publish and
+        #: replaced wholesale whenever the subscription list changes.
+        self._routes = {}
         self._seq = 0
         #: Total events ever published (buffered or since evicted).
         self.published = 0
@@ -197,20 +203,49 @@ class TraceBus:
         if not self.enabled:
             return None
         event = TraceEvent(
-            t=self.kernel.now if self.kernel is not None else 0.0,
-            seq=self._seq,
-            kind=kind,
-            fields=fields,
+            self.kernel.now if self.kernel is not None else 0.0,
+            self._seq,
+            kind,
+            fields,
         )
         self._seq += 1
         self.published += 1
         self._buffer.append(event)
-        if kind.startswith(STICKY_PREFIXES):
+        routes = self._routes
+        route = routes.get(kind)
+        if route is None:
+            route = routes[kind] = self._route(kind)
+        sticky, positions = route
+        if sticky:
             self._sticky.append(event)
-        for subscription in self._subscriptions:
-            if subscription.matches(kind):
-                subscription.callback(event)
+        subscriptions = self._subscriptions
+        for position in positions:
+            subscriptions[position].callback(event)
+            if self._routes is not routes:
+                # The callback (un)subscribed: finish this delivery over the
+                # live list, exactly as iterating the list itself would.
+                self._deliver_from(position + 1, event)
+                break
         return event
+
+    def _route(self, kind):
+        return (
+            kind.startswith(STICKY_PREFIXES),
+            tuple(
+                position
+                for position, subscription in enumerate(self._subscriptions)
+                if subscription.matches(kind)
+            ),
+        )
+
+    def _deliver_from(self, start, event):
+        subscriptions = self._subscriptions
+        position = start
+        while position < len(subscriptions):
+            subscription = subscriptions[position]
+            if subscription.matches(event.kind):
+                subscription.callback(event)
+            position += 1
 
     # ------------------------------------------------------------------
     # Subscribing
@@ -224,13 +259,15 @@ class TraceBus:
         """
         subscription = _Subscription(callback, kinds)
         self._subscriptions.append(subscription)
+        self._routes = {}
         return subscription
 
     def unsubscribe(self, token):
         try:
             self._subscriptions.remove(token)
         except ValueError:
-            pass
+            return
+        self._routes = {}
 
     # ------------------------------------------------------------------
     # Reading
