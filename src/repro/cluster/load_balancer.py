@@ -210,13 +210,17 @@ class LoadBalancer:
     # Recovery coordination (the RM notifies us, §5.3)
     # ------------------------------------------------------------------
     def begin_failover(self, node, mode=FailoverMode.FULL, components=()):
-        """A node is about to recover: start redirecting per ``mode``."""
+        """A node is about to recover: start redirecting per ``mode``.
+
+        ``components`` may be any iterable (callers pass sets); the event
+        lists them sorted, so timelines do not depend on string hashing.
+        """
         self._recovering[node.name] = (mode, frozenset(components))
         self.kernel.trace.publish(
             "lb.failover.begin",
             node=node.name,
             mode=mode.value,
-            components=tuple(components),
+            components=tuple(sorted(components)),
         )
 
     def end_failover(self, node):

@@ -250,3 +250,19 @@ def test_cookieless_request_fails_over_to_the_next_ring_shard():
     lb.begin_failover(node_of_shard[owner], FailoverMode.FULL)
     assert lb._fresh_node(request) is node_of_shard[successor]
     assert cross.value == 1
+
+
+def test_failover_begin_lists_components_in_sorted_order():
+    """The published tuple does not depend on how the caller ordered the
+    components (callers pass sets, whose order follows string hashing)."""
+    published = []
+    for order in (["Item", "Bid", "User"], ["User", "Item", "Bid"]):
+        kernel = Kernel()
+        kernel.trace.enabled = True
+        nodes = ring_nodes()
+        LoadBalancer(kernel, nodes).begin_failover(
+            nodes[0], FailoverMode.MICRO, components=order
+        )
+        (event,) = kernel.trace.events("lb.failover.begin")
+        published.append(event.fields["components"])
+    assert published == [("Bid", "Item", "User")] * 2
