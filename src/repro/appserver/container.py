@@ -53,9 +53,10 @@ class Container:
         self.invocation_count = 0
         self.failed_invocation_count = 0
         self.generation = 0  # bumped by every (re)initialization
-        #: Names of reboot-coupled peer components (symmetric closure of the
-        #: descriptors' group_references; filled in by the server's deploy).
-        self.group_peers = set()
+        #: Names of reboot-coupled peer components, sorted (symmetric closure
+        #: of the descriptors' group_references; filled in by the server's
+        #: deploy).
+        self.group_peers = ()
         #: Peer name -> the peer generation this container's metadata was
         #: built against.  Captured lazily on first use; a mismatch means a
         #: peer was recycled without this container — a stale reference.

@@ -143,16 +143,20 @@ class ApplicationServer:
         # Reboot-coupled metadata spans containers symmetrically (§3.2):
         # each container learns its group peers so it can detect a stale
         # cross-container reference if a peer is ever recycled without it.
-        names = {d.name for d in descriptors}
+        peers = {d.name: set() for d in descriptors}
         for descriptor in descriptors:
             for ref in descriptor.group_references:
-                if ref not in names:
+                if ref not in peers:
                     raise AppServerError(
                         f"{descriptor.name!r} group-references unknown "
                         f"component {ref!r}"
                     )
-                self.containers[descriptor.name].group_peers.add(ref)
-                self.containers[ref].group_peers.add(descriptor.name)
+                peers[descriptor.name].add(ref)
+                peers[ref].add(descriptor.name)
+        for name, group in peers.items():
+            # Sorted, so the first stale peer found does not depend on
+            # string hashing.
+            self.containers[name].group_peers = tuple(sorted(group))
 
     def descriptors_for(self, app_name):
         return list(self.applications[app_name])

@@ -87,3 +87,16 @@ def test_jvm_restart_resets_all_peer_generations(system):
         system.kernel.process(system.server.restart_jvm())
     )
     assert issue(system, "/ebid/ViewBidHistory", {"item_id": 2}).status == HttpStatus.OK
+
+
+def test_first_stale_peer_is_the_first_in_name_order(system):
+    """With two recycled peers, the error names the same one whatever the
+    string-hash seed: peers are checked in sorted order."""
+    user = system.server.containers["User"]
+    assert user.group_peers == ("Item", "Region")
+    user._validate_group_references()  # snapshot both peers' generations
+    for peer in ("Region", "Item"):
+        system.server.containers[peer].initialize()
+    with pytest.raises(StaleReferenceError) as excinfo:
+        user._validate_group_references()
+    assert excinfo.value.peer == "Item"
