@@ -46,7 +46,7 @@ def test_table2_campaign_parallel_speedup():
     specs = [
         TrialSpec(
             task="repro.experiments.table2:run_scenario_index",
-            kwargs={"index": index, "n_clients": 30},
+            kwargs={"arm": index, "n_clients": 30},
             tag=f"bench/{index}",
             seed=0,
         )

@@ -48,7 +48,7 @@ from repro.observability import (
     alert_lead_times,
     median,
 )
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 from repro.workload.client import ClientPopulation
 from repro.workload.markov import WorkloadProfile
 
@@ -348,23 +348,10 @@ def run(seed=0, n_nodes=3, clients_per_node=30, full=False, quick=False,
     if full:
         clients_per_node = 60
 
-    specs = [
-        TrialSpec(
-            task="repro.experiments.chaos:run_one_arm",
-            kwargs={
-                "arm": arm,
-                "n_nodes": n_nodes,
-                "clients_per_node": clients_per_node,
-                "spec_name": spec_name,
-                "tail": tail,
-            },
-            tag=arm,
-            seed=seed,
-        )
-        for arm in ARMS
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {arm: trial.value for arm, trial in zip(ARMS, trials)}
+    outcomes = run_arms(
+        run_one_arm, ARMS, seed, jobs=jobs, n_nodes=n_nodes,
+        clients_per_node=clients_per_node, spec_name=spec_name, tail=tail,
+    )
 
     result = ExperimentResult(
         name="Availability under correlated chaos: seed pipeline vs "

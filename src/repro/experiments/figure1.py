@@ -20,7 +20,7 @@ from repro.experiments.common import ExperimentResult, SingleNodeRig
 from repro.experiments.plotting import ascii_timeseries
 from repro.faults.corruption import CorruptionMode
 from repro.observability import aggregate_slo, compute_windows
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 POLICIES = ("process-restart", "microreboot")
 
@@ -41,9 +41,9 @@ def inject_schedule(rig, fault_times):
     rig.kernel.process(driver(), name="fault-schedule")
 
 
-def run_one_policy(policy, seed, n_clients, fault_times, duration):
-    """One 40-minute (by default) run under the given recovery policy."""
-    recovery_policy = "recursive" if policy == "microreboot" else policy
+def run_one_policy(arm, seed, n_clients, fault_times, duration):
+    """One 40-minute (by default) run under recovery policy ``arm``."""
+    recovery_policy = "recursive" if arm == "microreboot" else arm
     rig = SingleNodeRig(
         seed=seed,
         n_clients=n_clients,
@@ -56,7 +56,7 @@ def run_one_policy(policy, seed, n_clients, fault_times, duration):
     metrics = rig.metrics
     recoveries = len(rig.recovery_manager.actions)
     return {
-        "policy": policy,
+        "policy": arm,
         "good_requests": metrics.good_requests,
         "failed_requests": metrics.failed_requests,
         "failed_actions": metrics.failed_actions,
@@ -83,22 +83,10 @@ def run(seed=0, n_clients=500, fault_interval=600.0, full=False, quick=False,
     fault_times = (fault_interval, 2 * fault_interval, 3 * fault_interval)
     duration = 4 * fault_interval
 
-    specs = [
-        TrialSpec(
-            task="repro.experiments.figure1:run_one_policy",
-            kwargs={
-                "policy": policy,
-                "n_clients": n_clients,
-                "fault_times": fault_times,
-                "duration": duration,
-            },
-            tag=policy,
-            seed=seed,
-        )
-        for policy in POLICIES
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {policy: trial.value for policy, trial in zip(POLICIES, trials)}
+    outcomes = run_arms(
+        run_one_policy, POLICIES, seed, jobs=jobs, n_clients=n_clients,
+        fault_times=fault_times, duration=duration,
+    )
 
     result = ExperimentResult(
         name="Taw under failures: JVM process restart vs EJB microreboot",

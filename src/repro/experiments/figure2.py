@@ -10,7 +10,7 @@ from repro.ebid.descriptors import FUNCTIONAL_GROUPS
 from repro.experiments.common import ExperimentResult, SingleNodeRig
 from repro.experiments.plotting import ascii_gap_chart
 from repro.faults.corruption import CorruptionMode
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 POLICIES = ("process-restart", "microreboot")
 
@@ -38,12 +38,12 @@ def run_one(policy, seed, n_clients, inject_at, duration):
     return rig, gaps
 
 
-def run_arm(policy, seed=0, n_clients=300, inject_at=240.0, duration=480.0):
-    """Spawn-safe trial entrypoint: per-group gap spans for one policy.
+def run_arm(arm, seed=0, n_clients=300, inject_at=240.0, duration=480.0):
+    """Spawn-safe trial entrypoint: per-group gap spans for policy ``arm``.
 
     Returns only the (picklable) gap spans, not the rig itself.
     """
-    _rig, gaps = run_one(policy, seed, n_clients, inject_at, duration)
+    _rig, gaps = run_one(arm, seed, n_clients, inject_at, duration)
     return gaps
 
 
@@ -69,22 +69,10 @@ def run(seed=0, n_clients=300, inject_at=240.0, duration=480.0, full=False,
         paper_reference="Figure 2",
         headers=("functional group", "restart: gap (s)", "µRB: gap (s)"),
     )
-    specs = [
-        TrialSpec(
-            task="repro.experiments.figure2:run_arm",
-            kwargs={
-                "policy": policy,
-                "n_clients": n_clients,
-                "inject_at": inject_at,
-                "duration": duration,
-            },
-            tag=policy,
-            seed=seed,
-        )
-        for policy in POLICIES
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {policy: trial.value for policy, trial in zip(POLICIES, trials)}
+    outcomes = run_arms(
+        run_arm, POLICIES, seed, jobs=jobs, n_clients=n_clients,
+        inject_at=inject_at, duration=duration,
+    )
     restart_gaps = outcomes["process-restart"]
     urb_gaps = outcomes["microreboot"]
     for group in FUNCTIONAL_GROUPS:

@@ -13,13 +13,17 @@ with perfect detection.
 """
 
 from repro.experiments.common import ExperimentResult, SingleNodeRig
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 DEFAULT_TDETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
 
 
-def run_delay_point(recovery, t_det, seed, n_clients, settle=45.0):
-    """Failed requests when recovery happens ``t_det`` s after injection."""
+def run_delay_point(arm, seed, n_clients, settle=45.0):
+    """Failed requests when recovery happens ``t_det`` s after injection.
+
+    ``arm`` is the ``(recovery, t_det)`` pair.
+    """
+    recovery, t_det = arm
     rig = SingleNodeRig(
         seed=seed, n_clients=n_clients, with_recovery_manager=False
     )
@@ -75,22 +79,10 @@ def run(seed=0, n_clients=300, t_dets=DEFAULT_TDETS, full=False, quick=False,
     arms = [
         (recovery, t_det) for recovery in left for t_det in t_dets
     ]
-    specs = [
-        TrialSpec(
-            task="repro.experiments.figure5:run_delay_point",
-            kwargs={
-                "recovery": recovery,
-                "t_det": t_det,
-                "n_clients": n_clients,
-            },
-            tag=f"{recovery}/Tdet={t_det}",
-            seed=seed,
-        )
-        for recovery, t_det in arms
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    for (recovery, t_det), trial in zip(arms, trials):
-        left[recovery][t_det] = trial.value
+    outcomes = run_arms(run_delay_point, arms, seed, jobs=jobs,
+                        n_clients=n_clients)
+    for (recovery, t_det), failed in outcomes.items():
+        left[recovery][t_det] = failed
 
     crossover, budget = detection_crossover(
         left["process-restart"], left["microreboot"]

@@ -15,7 +15,7 @@ good Taw never dropped to zero.
 from repro.core.rejuvenation import RejuvenationService
 from repro.experiments.common import ExperimentResult, SingleNodeRig
 from repro.experiments.plotting import ascii_timeseries
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 KB = 1024
 
@@ -47,14 +47,15 @@ class JvmRejuvenator:
                 self.memory_samples.append((self.kernel.now, heap.available))
 
 
-def run_one(scheme, seed, n_clients, duration, item_leak, viewitem_leak):
+def run_one(arm, seed, n_clients, duration, item_leak, viewitem_leak):
+    """One run under rejuvenation scheme ``arm``."""
     rig = SingleNodeRig(
         seed=seed, n_clients=n_clients, with_recovery_manager=False
     )
     rig.injector.inject_memory_leak("Item", item_leak)
     rig.injector.inject_memory_leak("ViewItem", viewitem_leak)
 
-    if scheme == "microrejuvenation":
+    if arm == "microrejuvenation":
         service = RejuvenationService(
             rig.kernel,
             rig.system.coordinator,
@@ -75,7 +76,7 @@ def run_one(scheme, seed, n_clients, duration, item_leak, viewitem_leak):
         if good_series.get(second, 0) == 0
     )
     return {
-        "scheme": scheme,
+        "scheme": arm,
         "failed_requests": rig.metrics.failed_requests,
         "good_requests": rig.metrics.good_requests,
         "memory_timeline": list(service.memory_samples),
@@ -109,23 +110,10 @@ def run(
             "seconds with zero goodput",
         ),
     )
-    specs = [
-        TrialSpec(
-            task="repro.experiments.figure6:run_one",
-            kwargs={
-                "scheme": scheme,
-                "n_clients": n_clients,
-                "duration": duration,
-                "item_leak": item_leak,
-                "viewitem_leak": viewitem_leak,
-            },
-            tag=scheme,
-            seed=seed,
-        )
-        for scheme in SCHEMES
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {scheme: trial.value for scheme, trial in zip(SCHEMES, trials)}
+    outcomes = run_arms(
+        run_one, SCHEMES, seed, jobs=jobs, n_clients=n_clients,
+        duration=duration, item_leak=item_leak, viewitem_leak=viewitem_leak,
+    )
     for scheme in SCHEMES:
         outcome = outcomes[scheme]
         events = (

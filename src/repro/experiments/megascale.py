@@ -57,7 +57,7 @@ from repro.observability import (
     aggregate_incidents,
     aggregate_slo,
 )
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 from repro.workload.cohort import CohortEngine
 
 ARMS = ("steady", "shardfault")
@@ -644,23 +644,11 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
     n_sessions, n_shards, nodes_per_shard, duration = SCALES[scale]
 
     started = time.monotonic()
-    specs = [
-        TrialSpec(
-            task="repro.experiments.megascale:run_one_arm",
-            kwargs={
-                "arm": arm,
-                "n_sessions": n_sessions,
-                "n_shards": n_shards,
-                "nodes_per_shard": nodes_per_shard,
-                "duration": duration,
-            },
-            tag=arm,
-            seed=seed,
-        )
-        for arm in ARMS
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {arm: trial.value for arm, trial in zip(ARMS, trials)}
+    outcomes = run_arms(
+        run_one_arm, ARMS, seed, jobs=jobs, n_sessions=n_sessions,
+        n_shards=n_shards, nodes_per_shard=nodes_per_shard,
+        duration=duration,
+    )
     wall = time.monotonic() - started
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 

@@ -27,7 +27,7 @@ injected into IdentityManager:
 
 from repro.ebid.descriptors import URL_PATH_MAP
 from repro.experiments.common import ExperimentResult, SingleNodeRig
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 MODES = ("static-map", "path-analysis")
 
@@ -54,11 +54,12 @@ def _cures(action, faulty_group):
     return action.level in ("application", "jvm", "os")
 
 
-def run_one_mode(mode, seed, n_clients, inject_at, duration):
+def run_one_mode(arm, seed, n_clients, inject_at, duration):
+    """One run with the RM diagnosing in mode ``arm``."""
     rig = SingleNodeRig(
         seed=seed,
         n_clients=n_clients,
-        diagnosis=mode,
+        diagnosis=arm,
         session_store="fasts",
         url_path_map=STALE_URL_PATH_MAP,
     )
@@ -96,7 +97,7 @@ def run_one_mode(mode, seed, n_clients, inject_at, duration):
             break
 
     return {
-        "mode": mode,
+        "mode": arm,
         "recoveries": len(actions),
         "ejb_urbs": len(ejb_actions),
         "wrong_target_urbs": len(wrong_ejb),
@@ -125,22 +126,10 @@ def run(seed=0, n_clients=150, inject_at=60.0, duration=None,
     if duration is None:
         duration = inject_at + 300.0
 
-    specs = [
-        TrialSpec(
-            task="repro.experiments.path_diagnosis:run_one_mode",
-            kwargs={
-                "mode": mode,
-                "n_clients": n_clients,
-                "inject_at": inject_at,
-                "duration": duration,
-            },
-            tag=mode,
-            seed=seed,
-        )
-        for mode in MODES
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {mode: trial.value for mode, trial in zip(MODES, trials)}
+    outcomes = run_arms(
+        run_one_mode, MODES, seed, jobs=jobs, n_clients=n_clients,
+        inject_at=inject_at, duration=duration,
+    )
 
     result = ExperimentResult(
         name="Fault localization under a stale URL map: static diagnosis "

@@ -33,7 +33,7 @@ from repro.cluster.elasticity import ElasticPolicy, ReshardCoordinator
 from repro.experiments.common import ExperimentResult
 from repro.experiments.megascale import MegascaleRig
 from repro.faults.chaos import COMPONENT_TARGETS, ShardStormEngine, StormSpec
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 ARMS = ("steady", "storm", "storm+elastic")
 
@@ -234,26 +234,12 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
     )
 
     started = time.monotonic()
-    specs = [
-        TrialSpec(
-            task="repro.experiments.storm:run_one_arm",
-            kwargs={
-                "arm": arm,
-                "scale": scale,
-                "n_sessions": n_sessions,
-                "n_shards": n_shards,
-                "nodes_per_shard": nodes_per_shard,
-                "duration": duration,
-                "k_shards": k_shards,
-                "load_skew": load_skew,
-            },
-            tag=arm,
-            seed=seed,
-        )
-        for arm in ARMS
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {arm: trial.value for arm, trial in zip(ARMS, trials)}
+    outcomes = run_arms(
+        run_one_arm, ARMS, seed, jobs=jobs, scale=scale,
+        n_sessions=n_sessions, n_shards=n_shards,
+        nodes_per_shard=nodes_per_shard, duration=duration,
+        k_shards=k_shards, load_skew=load_skew,
+    )
     wall = time.monotonic() - started
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 

@@ -25,7 +25,7 @@ from repro.ebid.audit import audit_database, manual_repair
 from repro.ebid.schema import TABLES
 from repro.experiments.common import ExperimentResult, SingleNodeRig
 from repro.faults.corruption import CorruptionMode
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 MB = 1024 * 1024
 
@@ -310,13 +310,13 @@ def run_scenario(scenario, seed=0, n_clients=150):
     }
 
 
-def run_scenario_index(index, seed=0, n_clients=150):
-    """Spawn-safe trial entrypoint: run the ``index``-th Table 2 scenario.
+def run_scenario_index(arm, seed=0, n_clients=150):
+    """Spawn-safe trial entrypoint: run the ``arm``-th Table 2 scenario.
 
     Scenario objects hold lambdas and do not pickle, so parallel workers
     re-derive the scenario list and select by position.
     """
-    return run_scenario(_scenarios()[index], seed=seed, n_clients=n_clients)
+    return run_scenario(_scenarios()[arm], seed=seed, n_clients=n_clients)
 
 
 def run(seed=0, n_clients=150, only=None, full=False, jobs=1):
@@ -340,16 +340,10 @@ def run(seed=0, n_clients=150, only=None, full=False, jobs=1):
         for index, scenario in enumerate(_scenarios())
         if only is None or scenario.label in only
     ]
-    specs = [
-        TrialSpec(
-            task="repro.experiments.table2:run_scenario_index",
-            kwargs={"index": index, "n_clients": n_clients},
-            tag=scenario.label,
-            seed=seed,
-        )
-        for index, scenario in selected
-    ]
-    outcomes = [trial.value for trial in run_campaign(specs, jobs=jobs)]
+    outcomes = list(run_arms(
+        run_scenario_index, [index for index, _scenario in selected], seed,
+        jobs=jobs, n_clients=n_clients,
+    ).values())
     for (_index, scenario), outcome in zip(selected, outcomes):
         paper = scenario.paper_level + (" ≈" if scenario.paper_repair else "")
         result.rows.append(

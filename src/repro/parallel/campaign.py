@@ -13,6 +13,8 @@ campaign runner they all go through:
   :class:`TrialResult` envelopes **in spec order** regardless of which
   worker finished first — so rendered experiment output is byte-identical
   between ``jobs=1`` and ``jobs=N``;
+* :func:`run_arms` is the A/B shape every experiment uses on top of it:
+  one trial function, one seed, one trial per arm, outcomes keyed by arm;
 * determinism comes from the seeds alone: a worker re-derives every RNG
   stream from its spec's seed (see :mod:`repro.sim.rng`), never from
   process-global state, and the :func:`parent snapshot
@@ -144,6 +146,26 @@ def run_campaign(specs, jobs=1, check=True):
                     f"failed: {result.error}\n{result.traceback or ''}"
                 )
     return results
+
+
+def run_arms(trial, arms, seed, jobs=1, **kwargs):
+    """Run ``trial(arm, seed=seed, **kwargs)`` once per arm, as one campaign.
+
+    ``trial`` must be a module-level function whose first parameter is
+    named ``arm``, so its ``"module:function"`` task string resolves in a
+    spawned worker; ``arms`` and ``kwargs`` must be plain data.  Returns
+    the outcomes keyed by arm, in arm order; a failed arm raises
+    :class:`CampaignError` naming it.
+    """
+    arms = tuple(arms)
+    task = f"{trial.__module__}:{trial.__qualname__}"
+    specs = [
+        TrialSpec(task=task, kwargs={"arm": arm, **kwargs}, tag=str(arm),
+                  seed=seed)
+        for arm in arms
+    ]
+    results = run_campaign(specs, jobs=jobs)
+    return {arm: result.value for arm, result in zip(arms, results)}
 
 
 def _should_prime(specs):
