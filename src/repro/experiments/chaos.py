@@ -29,20 +29,15 @@ multi-component incidents.
 """
 
 from repro.cluster.cluster import build_cluster
-from repro.core.hardening import HardeningPolicy, RecoveryStormLimiter
+from repro.core.hardening import HardeningPolicy
 from repro.core.proactive import ProactiveRejuvenationPolicy
-from repro.core.recovery_manager import FailureKind, RecoveryManager
+from repro.core.recovery_manager import FailureKind
 from repro.core.retry import RetryPolicy
-from repro.ebid.descriptors import URL_PATH_MAP
 from repro.experiments.common import ExperimentResult
-from repro.experiments.cluster_common import wire_recovery_failover
-from repro.faults.chaos import COMPONENT_TARGETS, ChaosEngine, ChaosSpec
+from repro.experiments.cluster_common import ClusterRecoveryRig, count_by_level
+from repro.faults.chaos import ChaosEngine, ChaosSpec
 from repro.observability import (
     AlertEngine,
-    ComponentHealthRegistry,
-    EstimatorHub,
-    IncidentTracker,
-    SloEngine,
     aggregate_incidents,
     aggregate_slo,
     alert_lead_times,
@@ -76,7 +71,7 @@ def _max_overlap(actions):
     return peak
 
 
-class ChaosClusterRig:
+class ChaosClusterRig(ClusterRecoveryRig):
     """N nodes + LB + SSM + per-node recovery managers + chaos engine."""
 
     def __init__(
@@ -113,41 +108,17 @@ class ChaosClusterRig:
             hardening=self.hardening,
         )
         self.kernel = self.cluster.kernel
-        balancer = self.cluster.load_balancer
 
-        self.storm_limiter = None
         if hardened:
-            self.storm_limiter = RecoveryStormLimiter(
-                self.kernel,
-                limit=self.hardening.storm_limit,
-                window=self.hardening.storm_window,
-                window_limit=self.hardening.storm_window_limit,
-            )
-
+            self._start_storm_limiter()
         # One recovery manager per node, as a real deployment would run
         # them; the storm limiter is the only piece of shared state.
-        self.rms = []
-        for node in self.cluster.nodes:
-            rm = RecoveryManager(
-                self.kernel,
-                node.system.coordinator,
-                URL_PATH_MAP,
-                node_controller=node,
-                # High enough that the blunt §4 notify-a-human cutoff does
-                # not end either arm's campaign early: the comparison is
-                # between the graduated safeguards, same limit both arms.
-                recurring_limit=60,
-                hardening=self.hardening,
-                storm_limiter=self.storm_limiter,
-            )
-            self._wire_failover(rm, node, balancer)
-            rm.start()
-            self.rms.append(rm)
+        self.rms = self._start_rms(self.cluster.nodes)
 
         self.reports = []
         self.population = ClientPopulation(
             self.kernel,
-            balancer,
+            self.cluster.load_balancer,
             self.cluster.dataset,
             n_clients=n_nodes * clients_per_node,
             rng_registry=self.cluster.rng,
@@ -158,20 +129,6 @@ class ChaosClusterRig:
 
         self.engine = ChaosEngine(self.cluster, spec=spec)
 
-        # Incident stitching + rolling SLOs.  Both are passive TraceBus
-        # subscribers, so turning them on changes what the run *reports*,
-        # never what it *does* — the determinism and hardening-gate
-        # contracts hold with observability enabled.  They need the bus
-        # publishing, so enabling them enables tracing on this kernel.
-        self.incident_tracker = None
-        self.slo_engine = None
-        if observability:
-            self.kernel.trace.enabled = True
-            self.incident_tracker = IncidentTracker(
-                kernel=self.kernel, url_path_map=URL_PATH_MAP
-            )
-            self.slo_engine = SloEngine(self.metrics, kernel=self.kernel)
-
         # Prediction stack (estimators → health scores → alert rules →
         # proactive policy).  In "shadow" mode the stack observes and
         # alerts but the policy never acts, so the workload outcome must
@@ -179,26 +136,15 @@ class ChaosClusterRig:
         # prediction benchmark gates on.  Only in "proactive" mode do
         # alerts turn into RecoveryManager.preempt() calls.
         self.prediction = prediction
-        self.estimator_hub = None
-        self.alert_engine = None
-        self.health_registry = None
+        self.alert_engine = (
+            AlertEngine(kernel=self.kernel) if prediction is not None else None
+        )
+        if observability:
+            self._start_observers(
+                health=prediction is not None, alert_engine=self.alert_engine
+            )
         self.policies = []
         if prediction is not None:
-            self.estimator_hub = EstimatorHub(
-                kernel=self.kernel,
-                tracker=self.incident_tracker,
-                url_path_map=URL_PATH_MAP,
-            )
-            self.alert_engine = AlertEngine(kernel=self.kernel)
-            self.health_registry = ComponentHealthRegistry(
-                kernel=self.kernel,
-                hub=self.estimator_hub,
-                alert_engine=self.alert_engine,
-            )
-            for node in self.cluster.nodes:
-                self.health_registry.register(
-                    node.system.server.name, COMPONENT_TARGETS
-                )
             for rm in self.rms:
                 policy = ProactiveRejuvenationPolicy(
                     self.kernel,
@@ -209,9 +155,6 @@ class ChaosClusterRig:
                 )
                 policy.start()
                 self.policies.append(policy)
-
-    def _wire_failover(self, rm, node, balancer):
-        wire_recovery_failover(rm, node, balancer)
 
     def _dispatch_report(self, report):
         """Deliver a failure report to the node that served the client."""
@@ -231,20 +174,14 @@ class ChaosClusterRig:
         self.engine.start()
         horizon = spec.start + spec.duration + tail
         self.kernel.run(until=horizon)
-        if self.incident_tracker is not None:
-            self.incident_tracker.finalize(horizon)
-        if self.slo_engine is not None:
-            self.slo_engine.evaluate(horizon)
+        self._finish_observers(horizon)
         if self.alert_engine is not None:
             self.alert_engine.finalize(horizon)
         return self.outcome()
 
     def outcome(self):
         metrics = self.metrics
-        actions = [a for rm in self.rms for a in rm.actions]
-        by_level = {}
-        for action in actions:
-            by_level[action.level] = by_level.get(action.level, 0) + 1
+        actions = self._actions()
         errored = sum(1 for a in actions if not a.ok)
         balancer = self.cluster.load_balancer
         registries = [rm.metrics for rm in self.rms]
@@ -256,7 +193,7 @@ class ChaosClusterRig:
                 round(metrics.good_requests / total, 4) if total else None
             ),
             "recovery_actions": len(actions),
-            "actions_by_level": dict(sorted(by_level.items())),
+            "actions_by_level": count_by_level(actions),
             "errored_actions": errored,
             "reports": len(self.reports),
             "deferred": sum(
@@ -303,7 +240,7 @@ class ChaosClusterRig:
             return {}
         alerts = self.alert_engine.alerts
         leads = alert_lead_times(alerts, incidents)
-        actions = [a for rm in self.rms for a in rm.actions]
+        actions = self._actions()
         preemptive = sum(
             1 for a in actions if a.trigger is FailureKind.PREDICTED
         )

@@ -1,9 +1,24 @@
 """Shared scaffolding for the cluster experiments (§5.3)."""
 
+import resource
+import time
+from collections import Counter
+
 from repro.cluster.cluster import build_cluster
 from repro.cluster.load_balancer import FailoverMode
-from repro.core.recovery_manager import NODE_WIDE_LEVELS
+from repro.core.hardening import RecoveryStormLimiter
+from repro.core.recovery_manager import NODE_WIDE_LEVELS, RecoveryManager
+from repro.ebid.descriptors import URL_PATH_MAP
+from repro.experiments.common import PopulationRig
+from repro.faults.chaos import COMPONENT_TARGETS
 from repro.faults.injector import FaultInjector
+from repro.observability import (
+    ComponentHealthRegistry,
+    EstimatorHub,
+    IncidentTracker,
+    SloEngine,
+)
+from repro.parallel import run_arms
 from repro.telemetry.spans import SpanCollector
 from repro.workload.client import ClientPopulation
 from repro.workload.markov import WorkloadProfile
@@ -75,7 +90,120 @@ def wire_recovery_failover(rm, node, balancer):
     rm.defer_listeners.append(deferred)
 
 
-class ClusterRig:
+class ClusterRecoveryRig:
+    """The recovery pipeline and passive observers of the cluster rigs.
+
+    The chaos rig (and the prediction campaign on it), megascale and storm
+    all run one :class:`RecoveryManager` per node behind one shared storm
+    limiter, LB-coordinated through :func:`wire_recovery_failover`, and
+    watch the run with the same TraceBus subscribers.  Subclasses set
+    ``kernel``, ``cluster`` and ``hardening`` before calling these methods,
+    ``metrics`` before :meth:`_start_observers` and ``rms`` before
+    :meth:`_actions`.  The order of the calls is part of the output: the bus
+    delivers in subscription order, and the kernel breaks same-time ties
+    by the order in which work was scheduled.
+    """
+
+    storm_limiter = None
+    incident_tracker = None
+    slo_engine = None
+    estimator_hub = None
+    health_registry = None
+
+    def _start_storm_limiter(self):
+        self.storm_limiter = RecoveryStormLimiter(
+            self.kernel,
+            limit=self.hardening.storm_limit,
+            window=self.hardening.storm_window,
+            window_limit=self.hardening.storm_window_limit,
+        )
+
+    def _start_rms(self, nodes):
+        """One started, LB-coordinated RecoveryManager per node."""
+        rms = []
+        for node in nodes:
+            rm = RecoveryManager(
+                self.kernel,
+                node.system.coordinator,
+                URL_PATH_MAP,
+                node_controller=node,
+                # High enough that the blunt §4 notify-a-human cutoff does
+                # not end a campaign early: the comparisons are between
+                # the graduated safeguards, same limit in every arm.
+                recurring_limit=60,
+                hardening=self.hardening,
+                storm_limiter=self.storm_limiter,
+            )
+            wire_recovery_failover(rm, node, self.cluster.load_balancer)
+            rm.start()
+            rms.append(rm)
+        return rms
+
+    def _start_observers(self, health, alert_engine=None):
+        """Incident stitching + rolling SLOs, plus component health scores
+        when ``health`` is set.
+
+        All are passive TraceBus subscribers, so they change what a run
+        *reports*, never what it *does*.  They need the bus publishing, so
+        starting them enables tracing on this kernel.
+        """
+        self.kernel.trace.enabled = True
+        self.incident_tracker = IncidentTracker(
+            kernel=self.kernel, url_path_map=URL_PATH_MAP
+        )
+        self.slo_engine = SloEngine(self.metrics, kernel=self.kernel)
+        if health:
+            self.estimator_hub = EstimatorHub(
+                kernel=self.kernel,
+                tracker=self.incident_tracker,
+                url_path_map=URL_PATH_MAP,
+            )
+            self.health_registry = ComponentHealthRegistry(
+                kernel=self.kernel,
+                hub=self.estimator_hub,
+                alert_engine=alert_engine,
+            )
+            self._register_health(self.cluster.nodes)
+
+    def _register_health(self, nodes):
+        for node in nodes:
+            self.health_registry.register(
+                node.system.server.name, COMPONENT_TARGETS
+            )
+
+    def _finish_observers(self, horizon):
+        if self.incident_tracker is not None:
+            self.incident_tracker.finalize(horizon)
+        if self.slo_engine is not None:
+            self.slo_engine.evaluate(horizon)
+
+    def _actions(self):
+        """Every recovery action of every RM, RM by RM."""
+        return [a for rm in self.rms for a in rm.actions]
+
+
+def count_by_level(actions):
+    """Recovery actions per level, in level-name order."""
+    return dict(sorted(Counter(action.level for action in actions).items()))
+
+
+def run_timed_arms(trial, arms, seed, jobs, **kwargs):
+    """:func:`~repro.parallel.run_arms`, plus a note on what it cost.
+
+    The note reports the campaign's wall time and this process's peak RSS
+    (the driver's, not the workers').
+    """
+    started = time.monotonic()
+    outcomes = run_arms(trial, arms, seed, jobs=jobs, **kwargs)
+    wall = time.monotonic() - started
+    peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return outcomes, (
+        f"wall {wall:.1f}s, peak RSS {peak_rss_kb / 1024:.0f} MiB "
+        "(driver process)"
+    )
+
+
+class ClusterRig(PopulationRig):
     """N nodes + load balancer + clients, with scripted recovery."""
 
     def __init__(
@@ -114,14 +242,6 @@ class ClusterRig:
             reporter=self.reports.append,
         )
         self.metrics = self.population.metrics
-
-    def start(self, warmup=0.0):
-        self.population.start()
-        if warmup:
-            self.kernel.run(until=self.kernel.now + warmup)
-
-    def run_for(self, seconds):
-        self.kernel.run(until=self.kernel.now + seconds)
 
     def injector_for(self, node_index):
         return FaultInjector(self.cluster.nodes[node_index].system)

@@ -56,7 +56,20 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-class SingleNodeRig:
+class PopulationRig:
+    """Start and advance a rig whose clients are one ``population``."""
+
+    def start(self, warmup=0.0):
+        """Spawn the clients; optionally run a warm-up period."""
+        self.population.start()
+        if warmup:
+            self.kernel.run(until=self.kernel.now + warmup)
+
+    def run_for(self, seconds):
+        self.kernel.run(until=self.kernel.now + seconds)
+
+
+class SingleNodeRig(PopulationRig):
     """One eBid node + clients + injectors + (optionally) a recovery manager.
 
     The standard single-node evaluation setup of §5.1/§5.2: 500 concurrent
@@ -166,15 +179,6 @@ class SingleNodeRig:
         self.metrics = self.population.metrics
 
     # ------------------------------------------------------------------
-    def start(self, warmup=0.0):
-        """Spawn the clients; optionally run a warm-up period."""
-        self.population.start()
-        if warmup:
-            self.kernel.run(until=self.kernel.now + warmup)
-
-    def run_for(self, seconds):
-        self.kernel.run(until=self.kernel.now + seconds)
-
     def resync_shadow(self):
         """Re-baseline the known-good instance after a recovery.
 

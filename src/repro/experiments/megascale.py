@@ -32,32 +32,28 @@ the headline is blast-radius: the faulted shard's availability dips and
 recovers while the other ~127 shards never notice.
 """
 
-import resource
-import time
-
 from repro.appserver.http import HttpRequest
 from repro.cluster.cluster import build_sharded_cluster
-from repro.core.hardening import HardeningPolicy, RecoveryStormLimiter
-from repro.core.recovery_manager import FailureKind, FailureReport, RecoveryManager
+from repro.core.hardening import HardeningPolicy
+from repro.core.recovery_manager import FailureKind, FailureReport
 from repro.core.retry import RetryPolicy
 from repro.detection.simple import SimpleDetector
-from repro.ebid.descriptors import OPERATIONS, URL_PATH_MAP, operation_url
+from repro.ebid.descriptors import OPERATIONS, operation_url
 from repro.ebid.schema import DatasetConfig
 from repro.experiments.common import ExperimentResult
-from repro.experiments.cluster_common import wire_recovery_failover
+from repro.experiments.cluster_common import (
+    ClusterRecoveryRig,
+    count_by_level,
+    run_timed_arms,
+)
 from repro.faults.chaos import COMPONENT_TARGETS
 from repro.faults.injector import FaultInjector
 from repro.observability import (
     ClusterIncidentCorrelator,
-    ComponentHealthRegistry,
-    EstimatorHub,
-    IncidentTracker,
     ShardMetricsAggregator,
-    SloEngine,
     aggregate_incidents,
     aggregate_slo,
 )
-from repro.parallel import run_arms
 from repro.workload.cohort import CohortEngine
 
 ARMS = ("steady", "shardfault")
@@ -288,7 +284,7 @@ class ProbeOutcomeModel:
         return fail_p, latency
 
 
-class MegascaleRig:
+class MegascaleRig(ClusterRecoveryRig):
     """Sharded cluster × cohort engine × probes × recovery pipeline."""
 
     def __init__(
@@ -323,7 +319,6 @@ class MegascaleRig:
             hardening=self.hardening,
         )
         self.kernel = self.cluster.kernel
-        balancer = self.cluster.load_balancer
         shards = self.cluster.shard_names
         self.fault_shard = (
             shards[fault_shard_index if fault_shard_index is not None
@@ -331,12 +326,7 @@ class MegascaleRig:
             if fault else None
         )
 
-        self.storm_limiter = RecoveryStormLimiter(
-            self.kernel,
-            limit=self.hardening.storm_limit,
-            window=self.hardening.storm_window,
-            window_limit=self.hardening.storm_window_limit,
-        )
+        self._start_storm_limiter()
         #: shard -> [RecoveryManager per node of the shard]
         self.rms_by_shard = {}
         self.rms = []
@@ -347,7 +337,7 @@ class MegascaleRig:
         self._rm_cursor = {}
         self.probe_model = ProbeOutcomeModel(
             self.kernel,
-            balancer,
+            self.cluster.load_balancer,
             self.cluster.ring,
             shards,
             reporter=self._dispatch_report,
@@ -365,31 +355,12 @@ class MegascaleRig:
         )
         self.metrics = self.engine.metrics
 
-        # Observability: passive TraceBus subscribers; node names embed
-        # their shard, so incidents and health scores attribute per shard.
-        self.incident_tracker = None
-        self.slo_engine = None
-        self.health_registry = None
+        # Observability: node names embed their shard, so incidents and
+        # health scores attribute per shard.
         self.shard_metrics = None
         self.correlator = None
         if observability:
-            self.kernel.trace.enabled = True
-            self.incident_tracker = IncidentTracker(
-                kernel=self.kernel, url_path_map=URL_PATH_MAP
-            )
-            self.slo_engine = SloEngine(self.metrics, kernel=self.kernel)
-            hub = EstimatorHub(
-                kernel=self.kernel,
-                tracker=self.incident_tracker,
-                url_path_map=URL_PATH_MAP,
-            )
-            self.health_registry = ComponentHealthRegistry(
-                kernel=self.kernel, hub=hub
-            )
-            for node in self.cluster.nodes:
-                self.health_registry.register(
-                    node.system.server.name, COMPONENT_TARGETS
-                )
+            self._start_observers(health=True)
             if cluster_plane:
                 self.shard_metrics = ShardMetricsAggregator(
                     bus=self.kernel.trace, cluster=self.cluster
@@ -405,22 +376,8 @@ class MegascaleRig:
         Also the elastic scale-out path: a shard added mid-run gets the
         identical pipeline the boot-time shards got.
         """
-        balancer = self.cluster.load_balancer
-        members = []
-        for node in nodes:
-            rm = RecoveryManager(
-                self.kernel,
-                node.system.coordinator,
-                URL_PATH_MAP,
-                node_controller=node,
-                recurring_limit=60,
-                hardening=self.hardening,
-                storm_limiter=self.storm_limiter,
-            )
-            wire_recovery_failover(rm, node, balancer)
-            rm.start()
-            members.append(rm)
-            self.rms.append(rm)
+        members = self._start_rms(nodes)
+        self.rms.extend(members)
         self.rms_by_shard[shard] = members
         return members
 
@@ -486,10 +443,7 @@ class MegascaleRig:
         self._spawn_scenario()
         horizon = self.duration
         self.kernel.run(until=horizon)
-        if self.incident_tracker is not None:
-            self.incident_tracker.finalize(horizon)
-        if self.slo_engine is not None:
-            self.slo_engine.evaluate(horizon)
+        self._finish_observers(horizon)
         if self.shard_metrics is not None:
             self.shard_metrics.collect(self.engine, duration=horizon)
         return self.outcome()
@@ -515,10 +469,7 @@ class MegascaleRig:
         metrics = self.metrics
         engine = self.engine
         total = metrics.total_requests
-        actions = [a for rm in self.rms for a in rm.actions]
-        by_level = {}
-        for action in actions:
-            by_level[action.level] = by_level.get(action.level, 0) + 1
+        actions = self._actions()
         balancer = self.cluster.load_balancer
         worst = engine.worst_shard()
         shard_rows = engine.shard_summary()
@@ -548,7 +499,7 @@ class MegascaleRig:
             ),
             "fault_shard": self.fault_shard,
             "recovery_actions": len(actions),
-            "actions_by_level": dict(sorted(by_level.items())),
+            "actions_by_level": count_by_level(actions),
             "reports": self.reports,
             "cohort_details": engine.total_details,
             "probes_sent": self.probe_model.probes_sent,
@@ -643,14 +594,11 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
         scale = "smoke" if quick else ("full" if full else "standard")
     n_sessions, n_shards, nodes_per_shard, duration = SCALES[scale]
 
-    started = time.monotonic()
-    outcomes = run_arms(
-        run_one_arm, ARMS, seed, jobs=jobs, n_sessions=n_sessions,
+    outcomes, cost = run_timed_arms(
+        run_one_arm, ARMS, seed, jobs, n_sessions=n_sessions,
         n_shards=n_shards, nodes_per_shard=nodes_per_shard,
         duration=duration,
     )
-    wall = time.monotonic() - started
-    peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     result = ExperimentResult(
         name=f"Megascale: {n_sessions:,} sessions on {n_shards} shards "
@@ -721,10 +669,7 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
             f"{faulted['healthy_shard_availability']} while "
             f"{blast.get('shard')} dipped to {blast.get('availability')}"
         )
-    result.notes.append(
-        f"scale={scale}: wall {wall:.1f}s, peak RSS "
-        f"{peak_rss_kb / 1024:.0f} MiB (driver process)"
-    )
+    result.notes.append(f"scale={scale}: {cost}")
     return result, outcomes
 
 

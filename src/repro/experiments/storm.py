@@ -26,14 +26,11 @@ static arm on failed requests, and storm schedules + migration plans are
 deterministic (same seed ⇒ same plans; jobs=1 ≡ jobs=2).
 """
 
-import resource
-import time
-
 from repro.cluster.elasticity import ElasticPolicy, ReshardCoordinator
+from repro.experiments.cluster_common import run_timed_arms
 from repro.experiments.common import ExperimentResult
 from repro.experiments.megascale import MegascaleRig
-from repro.faults.chaos import COMPONENT_TARGETS, ShardStormEngine, StormSpec
-from repro.parallel import run_arms
+from repro.faults.chaos import ShardStormEngine, StormSpec
 
 ARMS = ("steady", "storm", "storm+elastic")
 
@@ -125,10 +122,7 @@ class StormRig(MegascaleRig):
         """A fresh shard boots mid-run: same pipeline as boot-time shards."""
         self._wire_shard_rms(shard, nodes)
         if self.health_registry is not None:
-            for node in nodes:
-                self.health_registry.register(
-                    node.system.server.name, COMPONENT_TARGETS
-                )
+            self._register_health(nodes)
 
     def _on_shard_removed(self, shard, nodes):
         """A drained shard leaves: no more reports route to its RMs (the
@@ -233,15 +227,11 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
         SCALES[scale]
     )
 
-    started = time.monotonic()
-    outcomes = run_arms(
-        run_one_arm, ARMS, seed, jobs=jobs, scale=scale,
-        n_sessions=n_sessions, n_shards=n_shards,
-        nodes_per_shard=nodes_per_shard, duration=duration,
-        k_shards=k_shards, load_skew=load_skew,
+    outcomes, cost = run_timed_arms(
+        run_one_arm, ARMS, seed, jobs, scale=scale, n_sessions=n_sessions,
+        n_shards=n_shards, nodes_per_shard=nodes_per_shard,
+        duration=duration, k_shards=k_shards, load_skew=load_skew,
     )
-    wall = time.monotonic() - started
-    peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     result = ExperimentResult(
         name=f"Storm: K={k_shards} simultaneous shard faults on "
@@ -320,10 +310,7 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
             f"{elastic['reshard']['sessions_migrated']:,} sessions migrated "
             "with zero loss"
         )
-    result.notes.append(
-        f"scale={scale}: wall {wall:.1f}s, peak RSS "
-        f"{peak_rss_kb / 1024:.0f} MiB (driver process)"
-    )
+    result.notes.append(f"scale={scale}: {cost}")
     return result, outcomes
 
 

@@ -10,7 +10,7 @@ timeline trustworthy.
 
 import pytest
 
-from repro.experiments.megascale import URL_PATH_MAP
+from repro.ebid.descriptors import URL_PATH_MAP
 from repro.experiments.storm import StormRig
 from repro.faults.chaos import StormSpec
 from repro.observability import health_from_timeline
