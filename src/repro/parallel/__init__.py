@@ -6,7 +6,6 @@ from repro.parallel.campaign import (
     TrialSpec,
     available_jobs,
     campaign_summary,
-    derive_trial_seed,
     normalize_jobs,
     run_arms,
     run_campaign,
@@ -18,7 +17,6 @@ __all__ = [
     "TrialSpec",
     "available_jobs",
     "campaign_summary",
-    "derive_trial_seed",
     "normalize_jobs",
     "run_arms",
     "run_campaign",

@@ -35,7 +35,6 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.parallel import worker
-from repro.sim.rng import derive_seed
 
 
 class CampaignError(RuntimeError):
@@ -51,8 +50,8 @@ class TrialSpec:
             module-level callable so a ``spawn``-ed worker can import it.
         kwargs: keyword arguments for the task; keep them plain data
             (numbers, strings, tuples) so they pickle under ``spawn``.
-        tag: stable human-readable identifier (scenario label, arm name);
-            used for seed derivation and error reporting.
+        tag: stable human-readable identifier (scenario label, arm name)
+            that names the trial in a :class:`CampaignError`.
         seed: RNG root seed passed to the task as ``seed=``; ``None`` for
             tasks that take no seed.
     """
@@ -79,16 +78,6 @@ class TrialResult:
     @property
     def ok(self):
         return self.error is None
-
-
-def derive_trial_seed(root_seed, tag):
-    """A per-trial 64-bit seed from a campaign root seed and a trial tag.
-
-    Uses the same SHA-256 derivation as the kernel's named RNG streams, so
-    campaigns over many seeds stay deterministic and collision-free without
-    the trial order mattering.
-    """
-    return derive_seed(root_seed, f"trial/{tag}")
 
 
 def available_jobs():

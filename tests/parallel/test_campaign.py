@@ -7,7 +7,6 @@ from repro.parallel import (
     TrialSpec,
     available_jobs,
     campaign_summary,
-    derive_trial_seed,
     normalize_jobs,
     run_campaign,
 )
@@ -108,14 +107,7 @@ def test_single_spec_campaign_stays_in_process():
     assert results[0].pid == os.getpid()
 
 
-# --- seeds and job counts ----------------------------------------------------
-
-def test_derive_trial_seed_is_stable_and_tag_sensitive():
-    assert derive_trial_seed(0, "a") == derive_trial_seed(0, "a")
-    assert derive_trial_seed(0, "a") != derive_trial_seed(0, "b")
-    assert derive_trial_seed(0, "a") != derive_trial_seed(1, "a")
-    assert 0 <= derive_trial_seed(0, "a") < 2**64
-
+# --- job counts --------------------------------------------------------------
 
 def test_normalize_jobs_contract():
     assert normalize_jobs(4) == 4
