@@ -16,13 +16,16 @@ from repro.sim.resources import Queue
 from repro.sim.rng import RngRegistry
 
 
-def simulate_trial(seed=0, clients=10, requests=40):
+def simulate_trial(arm=10, seed=0, requests=40):
     """Simulate a toy open-queue system; returns a deterministic digest.
 
-    Each client sleeps a seeded think time, posts a job to a shared
-    mailbox, and a single server process drains it with seeded service
-    times.  The returned dict is plain data (spawn-picklable).
+    Each of ``arm`` clients sleeps a seeded think time, posts a job to a
+    shared mailbox, and a single server process drains it with seeded
+    service times.  The arm is the client count, so a
+    :func:`~repro.parallel.run_arms` campaign over it compares load
+    levels.  The returned dict is plain data (spawn-picklable).
     """
+    clients = arm
     kernel = Kernel()
     rng = RngRegistry(seed)
     mailbox = Queue(kernel)

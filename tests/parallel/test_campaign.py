@@ -8,6 +8,7 @@ from repro.parallel import (
     available_jobs,
     campaign_summary,
     normalize_jobs,
+    run_arms,
     run_campaign,
 )
 from repro.parallel.demo import simulate_trial
@@ -15,7 +16,7 @@ from repro.parallel.worker import TaskResolutionError, resolve_task, run_trial
 
 DEMO = "repro.parallel.demo:simulate_trial"
 SPECS = [
-    TrialSpec(task=DEMO, kwargs={"clients": 3, "requests": 5},
+    TrialSpec(task=DEMO, kwargs={"arm": 3, "requests": 5},
               tag=f"trial-{i}", seed=i)
     for i in range(6)
 ]
@@ -52,7 +53,7 @@ def test_run_trial_injects_seed_and_times_the_trial():
 
 
 def test_run_trial_captures_exceptions_in_the_envelope():
-    spec = TrialSpec(task=DEMO, kwargs={"clients": "not-a-number"}, tag="boom")
+    spec = TrialSpec(task=DEMO, kwargs={"arm": "not-a-number"}, tag="boom")
     result = run_trial((0, spec))
     assert not result.ok
     assert result.value is None
@@ -93,9 +94,9 @@ def test_parallel_values_identical_to_sequential():
 
 
 def test_identical_seed_identical_digest():
-    a = simulate_trial(seed=7, clients=4, requests=6)
-    b = simulate_trial(seed=7, clients=4, requests=6)
-    c = simulate_trial(seed=8, clients=4, requests=6)
+    a = simulate_trial(4, seed=7, requests=6)
+    b = simulate_trial(4, seed=7, requests=6)
+    c = simulate_trial(4, seed=8, requests=6)
     assert a == b
     assert c["log_digest"] != a["log_digest"]
 
@@ -105,6 +106,33 @@ def test_single_spec_campaign_stays_in_process():
 
     results = run_campaign([SPECS[0]], jobs=8)
     assert results[0].pid == os.getpid()
+
+
+# --- arm campaigns -----------------------------------------------------------
+
+ARMS = (4, 2, 3)
+
+
+def test_run_arms_keys_outcomes_by_arm_in_arm_order():
+    outcomes = run_arms(simulate_trial, ARMS, seed=5, requests=5)
+    assert list(outcomes) == list(ARMS)
+    for arm in ARMS:
+        assert outcomes[arm] == simulate_trial(arm, seed=5, requests=5)
+    assert len({o["log_digest"] for o in outcomes.values()}) == len(ARMS)
+
+
+def test_run_arms_parallel_outcomes_equal_sequential():
+    sequential = run_arms(simulate_trial, ARMS, seed=5, jobs=1, requests=5)
+    parallel = run_arms(simulate_trial, ARMS, seed=5, jobs=2, requests=5)
+    assert parallel == sequential
+
+
+def test_run_arms_failure_names_the_arm():
+    with pytest.raises(CampaignError) as excinfo:
+        run_arms(simulate_trial, (2, "not-a-number"), seed=0, requests=5)
+    message = str(excinfo.value)
+    assert "trial 1 ('not-a-number')" in message
+    assert "TypeError" in message
 
 
 # --- job counts --------------------------------------------------------------

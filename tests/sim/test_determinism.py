@@ -121,14 +121,14 @@ def test_run_until_triggered_drained_queue_raises():
 # --- identical seed => identical trace ---------------------------------------
 
 def test_identical_seeds_reproduce_the_event_log_exactly():
-    runs = [simulate_trial(seed=42, clients=5, requests=8) for _ in range(3)]
+    runs = [simulate_trial(5, seed=42, requests=8) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0]["events_processed"] > 0
 
 
 def test_different_seeds_diverge():
     digests = {
-        simulate_trial(seed=seed, clients=5, requests=8)["log_digest"]
+        simulate_trial(5, seed=seed, requests=8)["log_digest"]
         for seed in range(5)
     }
     assert len(digests) == 5
@@ -141,7 +141,7 @@ def test_jobs1_vs_jobsN_trace_identical():
 
     specs = [
         TrialSpec(task="repro.parallel.demo:simulate_trial",
-                  kwargs={"clients": 3, "requests": 5}, tag=f"t{i}", seed=i)
+                  kwargs={"arm": 3, "requests": 5}, tag=f"t{i}", seed=i)
         for i in range(4)
     ]
     sequential = [r.value["log_digest"] for r in run_campaign(specs, jobs=1)]
