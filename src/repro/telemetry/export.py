@@ -7,6 +7,7 @@ events from several buses (figure-1 runs two kernels, one per policy); the
 """
 
 import json
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -44,27 +45,46 @@ class TimelineError(Exception):
 def read_timeline(path):
     """Parse a JSONL timeline back into a list of flat dicts.
 
-    Raises :class:`TimelineError` (with the offending line number) on
-    malformed JSON or on records missing the ``t``/``kind`` envelope, so
-    the CLI can report corrupt files as one-line errors.
+    Raises :class:`TimelineError` (with the offending line number) on a
+    line that is not UTF-8, not JSON, or not an event record: every
+    record needs a finite numeric ``t`` and a string ``kind``, which the
+    consumers sort and match on.  The CLI reports these as one-line
+    errors.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise TimelineError(
+                    f"{where}: not UTF-8 text ({exc.reason})"
+                ) from exc
             if not line:
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TimelineError(
-                    f"{path}:{lineno}: not valid JSONL ({exc.msg})"
+                    f"{where}: not valid JSONL ({exc.msg})"
                 ) from exc
             if not isinstance(record, dict) or "t" not in record \
                     or "kind" not in record:
                 raise TimelineError(
-                    f"{path}:{lineno}: not a trace timeline record "
+                    f"{where}: not a trace timeline record "
                     "(missing 't'/'kind' envelope)"
+                )
+            t = record["t"]
+            if isinstance(t, bool) or not isinstance(t, (int, float)) \
+                    or not math.isfinite(t):
+                raise TimelineError(
+                    f"{where}: 't' must be a finite number, got {t!r}"
+                )
+            if not isinstance(record["kind"], str):
+                raise TimelineError(
+                    f"{where}: 'kind' must be a string, got "
+                    f"{record['kind']!r}"
                 )
             records.append(record)
     return records

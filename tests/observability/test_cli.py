@@ -78,6 +78,14 @@ def test_slo_command_empty_file_is_a_clean_error(tmp_path, capsys):
     assert "empty timeline" in capsys.readouterr().err
 
 
+def test_incidents_command_bad_record_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"t": "x", "kind": "fault.injected"}\n')
+    assert main(["incidents", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad.jsonl:1" in err
+
+
 def make_predictive_timeline(path):
     """A timeline with a heap drain (alert fodder) preceding an incident.
 

@@ -89,6 +89,27 @@ def test_load_timeline_classifies_errors(tmp_path):
     with pytest.raises(TimelineError, match="cannot read"):
         load_timeline(unreadable)
 
+    good = '{"t": 0.5, "kind": "tick"}\n'
+    for name, body, message in (
+        ("latin1.jsonl", good.encode() + b'{"t": 1.0, "kind": "caf\xe9"}\n',
+         "latin1.jsonl:2: not UTF-8"),
+        ("t-string.jsonl", good + '{"t": "x", "kind": "fault.injected"}\n',
+         "t-string.jsonl:2: 't' must be a finite number"),
+        ("t-bool.jsonl", '{"t": true, "kind": "tick"}\n',
+         "t-bool.jsonl:1: 't' must be a finite number"),
+        ("t-nan.jsonl", '{"t": NaN, "kind": "tick"}\n',
+         "t-nan.jsonl:1: 't' must be a finite number"),
+        ("kind-int.jsonl", good + '{"t": 1.0, "kind": 7}\n',
+         "kind-int.jsonl:2: 'kind' must be a string"),
+    ):
+        bad = tmp_path / name
+        if isinstance(body, bytes):
+            bad.write_bytes(body)
+        else:
+            bad.write_text(body)
+        with pytest.raises(TimelineError, match=message):
+            load_timeline(bad)
+
 
 def test_summarize_empty_timeline():
     assert "empty timeline" in summarize_timeline([])
