@@ -349,14 +349,18 @@ def main(argv=None):
         return 0
 
     if args.command == "slo":
+        try:
+            policy = SloPolicy(
+                window=args.window,
+                availability_target=args.availability,
+                latency_target=args.latency,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         records = _load_timeline(args.file)
         if records is None:
             return 2
-        policy = SloPolicy(
-            window=args.window,
-            availability_target=args.availability,
-            latency_target=args.latency,
-        )
         if args.shard is not None:
             windows = shard_windows_from_records(
                 records, args.shard, policy=policy

@@ -36,12 +36,17 @@ class SloPolicy:
     min_requests: int = 1  # quieter windows are never judged
 
     def __post_init__(self):
-        if self.window <= 0:
+        # Written as "not > 0" so NaN is rejected too.
+        if not self.window > 0:
             raise ValueError(f"window must be > 0, got {self.window!r}")
         if not 0 < self.availability_target <= 1:
             raise ValueError(
                 "availability_target must be in (0, 1], got "
                 f"{self.availability_target!r}"
+            )
+        if not self.latency_target > 0:
+            raise ValueError(
+                f"latency_target must be > 0, got {self.latency_target!r}"
             )
 
     @property

@@ -78,6 +78,20 @@ def test_slo_command_empty_file_is_a_clean_error(tmp_path, capsys):
     assert "empty timeline" in capsys.readouterr().err
 
 
+def test_slo_command_bad_policy_is_a_clean_error(tmp_path, capsys):
+    path = make_timeline(tmp_path / "timeline.jsonl")
+    for flags, message in (
+        (["--window", "0"], "window must be > 0"),
+        (["--window", "-5"], "window must be > 0"),
+        (["--window", "nan"], "window must be > 0"),
+        (["--availability", "2"], "availability_target must be in (0, 1]"),
+        (["--latency", "-1"], "latency_target must be > 0"),
+    ):
+        assert main(["slo", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+
 def test_incidents_command_bad_record_is_a_clean_error(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": "x", "kind": "fault.injected"}\n')
