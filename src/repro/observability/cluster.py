@@ -765,7 +765,7 @@ def shards_from_timeline(records):
 
     ``shard.rollup`` events carry the summary rows (latest per shard
     wins, matching a rerun), ``shard.window`` events rebuild the bounded
-    series, and ``capacity.* `` / ``reshard.migrate`` / ``storm.begin``
+    series, and ``capacity.*`` / ``reshard.migrate`` / ``storm.begin``
     events restore the signal stream and storm context.
     """
     rows = {}
